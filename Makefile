@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench faults-smoke epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline sweep-dist series-report lint fmt ci clean
+.PHONY: all build test race perfbench-test bench faults-smoke epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline sweep-dist series-report lint fmt ci clean
 
 all: build
 
@@ -15,15 +15,21 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent subsystems (simulator schedulers
-# — actors lifecycle and tracing included — the experiment orchestrator,
-# the adversary layer they both drive, the trace recorders, the telemetry
+# Race-detector pass over the concurrent subsystems (the simulator's
+# WorkerPool scheduler and its tracing, the experiment orchestrator, the
+# adversary layer they both drive, the trace recorders, the telemetry
 # registry, the sweep coordinator, and the real-transport backend with its
 # per-node driver goroutines).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/adversary/... \
 		./internal/trace/... ./internal/obs/... ./internal/sweep/... \
 		./internal/transport/... ./internal/epoch/...
+
+# Self-tests of the repository benchmark (perfbench/, a module of its own
+# that ./... does not reach). It compiles against the sim and transport
+# APIs, so this is what catches an API change breaking the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Bench smoke: every benchmark once. BenchmarkHarnessSweep writes
 # BENCH_harness.json, which CI uploads for cross-PR perf tracking.
@@ -135,7 +141,7 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint test race bench
+ci: build lint test race perfbench-test bench
 
 clean:
 	rm -f BENCH_harness.json BENCH_scaling.json BENCH_dist.json BENCH_local.json REPORT.md

@@ -37,7 +37,7 @@ func TestAdaptiveAdversaryDeterministicPerSeed(t *testing.T) {
 	if again := runAdaptive(t, adaptiveSpec); !reflect.DeepEqual(again, base) {
 		t.Fatal("adaptive run is not reproducible for a fixed seed")
 	}
-	for _, s := range []Scheduler{WorkerPool, Actors} {
+	for _, s := range []Scheduler{WorkerPool} {
 		got := runAdaptive(t, adaptiveSpec, WithScheduler(s))
 		raw, _ := json.Marshal(got)
 		if string(raw) != string(baseRaw) {

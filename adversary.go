@@ -16,9 +16,6 @@ const (
 	Sequential Scheduler = iota
 	// WorkerPool fans node steps out over a bounded goroutine pool.
 	WorkerPool
-	// Actors runs every node as a persistent goroutine for the lifetime
-	// of the run — message-passing all the way down.
-	Actors
 )
 
 // String names the scheduler.
@@ -26,8 +23,6 @@ func (s Scheduler) String() string {
 	switch s {
 	case WorkerPool:
 		return "workerpool"
-	case Actors:
-		return "actors"
 	default:
 		return "sequential"
 	}
@@ -35,14 +30,10 @@ func (s Scheduler) String() string {
 
 // toSim maps the public scheduler onto the simulator's.
 func (s Scheduler) toSim() sim.Scheduler {
-	switch s {
-	case WorkerPool:
+	if s == WorkerPool {
 		return sim.WorkerPool
-	case Actors:
-		return sim.Actors
-	default:
-		return sim.Sequential
 	}
+	return sim.Sequential
 }
 
 // AdversarySpec declares a deterministic fault-injection adversary, the

@@ -44,6 +44,7 @@
 package anonlead
 
 import (
+	"fmt"
 	"sync"
 
 	"anonlead/internal/graph"
@@ -85,8 +86,21 @@ func NewNetwork(family string, n int, seed uint64) (*Network, error) {
 }
 
 // NewNetworkFromEdges builds a network from an explicit undirected edge
-// list over nodes 0..n-1. The graph must be connected and simple.
+// list over nodes 0..n-1. The graph must be connected and simple: an
+// out-of-range endpoint or a self-loop is an error, and a repeated edge
+// is kept once.
 func NewNetworkFromEdges(n int, edges [][2]int) (*Network, error) {
+	if n <= 0 {
+		return nil, errEmptyGraph
+	}
+	for _, e := range edges {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			return nil, fmt.Errorf("anonlead: edge %v out of range [0,%d)", e, n)
+		}
+		if e[0] == e[1] {
+			return nil, fmt.Errorf("anonlead: self-loop %v in a simple graph", e)
+		}
+	}
 	b := graph.NewBuilder(n)
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])

@@ -45,6 +45,50 @@ func TestNewNetworkFromEdgesRejectsDisconnected(t *testing.T) {
 	}
 }
 
+// TestConstructorsRejectBadInput: every family at n in {-1, 0, 1, 2} and
+// every malformed edge list returns an error or a valid network, never a
+// panic. n <= 1 is always an error: no family builds a connected graph
+// with a link on fewer than two nodes.
+func TestConstructorsRejectBadInput(t *testing.T) {
+	for _, family := range Families() {
+		for _, n := range []int{-1, 0, 1, 2} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("NewNetwork(%q, %d) panicked: %v", family, n, r)
+					}
+				}()
+				nw, err := NewNetwork(family, n, 1)
+				if n <= 1 && err == nil {
+					t.Errorf("NewNetwork(%q, %d): no error", family, n)
+				}
+				if err == nil && nw.N() < 2 {
+					t.Errorf("NewNetwork(%q, %d): degenerate network of %d nodes", family, n, nw.N())
+				}
+			}()
+		}
+	}
+	for name, bad := range map[string]struct {
+		n     int
+		edges [][2]int
+	}{
+		"empty":        {n: 0},
+		"out-of-range": {n: 3, edges: [][2]int{{0, 1}, {1, 3}}},
+		"self-loop":    {n: 3, edges: [][2]int{{0, 1}, {1, 2}, {2, 2}}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("NewNetworkFromEdges %s panicked: %v", name, r)
+				}
+			}()
+			if _, err := NewNetworkFromEdges(bad.n, bad.edges); err == nil {
+				t.Errorf("NewNetworkFromEdges %s: no error", name)
+			}
+		}()
+	}
+}
+
 func TestElectUnique(t *testing.T) {
 	nw, err := NewNetwork("complete", 32, 1)
 	if err != nil {
@@ -104,7 +148,7 @@ func TestElectParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := nw.Elect(WithSeed(4), WithParallel(true))
+	par, err := nw.Elect(WithSeed(4), WithScheduler(WorkerPool))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //
 //	leaderelect -graph expander -n 256 -proto ire -trials 10
 //	leaderelect -graph complete -n 4 -proto revocable -iso 2
-//	leaderelect -graph torus -n 64 -proto walknotify -scheduler actors
+//	leaderelect -graph torus -n 64 -proto walknotify -scheduler workerpool
 //	leaderelect -graph expander -n 64 -proto floodmax -loss 0.1 -trials 20
 //	leaderelect -graph expander -n 128 -proto ire -observe 32
 package main
@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -27,48 +28,53 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "leaderelect:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	var (
-		family    = flag.String("graph", "expander", "topology family: "+strings.Join(anonlead.Families(), ", "))
-		n         = flag.Int("n", 64, "number of nodes")
-		proto     = flag.String("proto", "ire", "protocol: "+strings.Join(anonlead.Protocols(), ", "))
-		trials    = flag.Int("trials", 1, "number of independent elections")
-		seed      = flag.Uint64("seed", 1, "root random seed (trial t runs at seed+t)")
-		scheduler = flag.String("scheduler", "sequential", "execution engine: sequential, workerpool, actors (all bit-identical)")
-		parallel  = flag.Bool("parallel", false, "shorthand for -scheduler workerpool")
-		presumed  = flag.Int("presumed", 0, "misreported network size for the knowledge ablation (0 = truth)")
-		c         = flag.Float64("c", 0, "analysis constant c override (0 = default)")
-		walks     = flag.Int("x", 0, "IRE: walk-count override (0 = paper formula)")
-		eps       = flag.Float64("eps", 0, "revocable: epsilon (0 = default 0.5)")
-		iso       = flag.Float64("iso", 0, "revocable: known isoperimetric lower bound (0 = blind)")
-		fMult     = flag.Float64("fmult", 0, "revocable: f(k) calibration multiplier (0 = 1)")
-		rMult     = flag.Float64("rmult", 0, "revocable: r(k) calibration multiplier (0 = 1)")
-		loss      = flag.Float64("loss", 0, "adversary: per-packet drop probability")
-		crash     = flag.Float64("crash", 0, "adversary: fraction of nodes crash-stopping")
-		crashBy   = flag.Int("crash-by", 16, "adversary: last round a sampled crash may fire")
-		churn     = flag.Float64("churn", 0, "adversary: per-edge per-round down probability")
-		churnKeep = flag.Bool("churn-keep", false, "adversary: preserve connectivity under churn")
-		delayP    = flag.Float64("delay", 0, "adversary: probability a packet is delayed")
-		delayMax  = flag.Int("delay-max", 2, "adversary: maximum extra rounds of delay")
-		observe   = flag.Int("observe", 0, "print streaming round metrics every K rounds of the first trial (0 = off)")
-	)
-	flag.Parse()
+// run is main minus the process exit, so tests can drive the CLI.
+func run(args []string, stdout, stderr io.Writer) int {
+	if err := elect(args, stdout, stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(stderr, "leaderelect:", err)
+		}
+		return 1
+	}
+	return 0
+}
 
-	nw, err := anonlead.NewNetwork(*family, *n, *seed)
+func elect(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("leaderelect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		family    = fs.String("graph", "expander", "topology family: "+strings.Join(anonlead.Families(), ", "))
+		n         = fs.Int("n", 64, "number of nodes")
+		proto     = fs.String("proto", "ire", "protocol: "+strings.Join(anonlead.Protocols(), ", "))
+		trials    = fs.Int("trials", 1, "number of independent elections")
+		seed      = fs.Uint64("seed", 1, "root random seed (trial t runs at seed+t)")
+		scheduler = fs.String("scheduler", "sequential", "execution engine: "+schedulerNames+" (bit-identical)")
+		presumed  = fs.Int("presumed", 0, "misreported network size for the knowledge ablation (0 = truth)")
+		c         = fs.Float64("c", 0, "analysis constant c override (0 = default)")
+		walks     = fs.Int("x", 0, "IRE: walk-count override (0 = paper formula)")
+		eps       = fs.Float64("eps", 0, "revocable: epsilon (0 = default 0.5)")
+		iso       = fs.Float64("iso", 0, "revocable: known isoperimetric lower bound (0 = blind)")
+		fMult     = fs.Float64("fmult", 0, "revocable: f(k) calibration multiplier (0 = 1)")
+		rMult     = fs.Float64("rmult", 0, "revocable: r(k) calibration multiplier (0 = 1)")
+		loss      = fs.Float64("loss", 0, "adversary: per-packet drop probability")
+		crash     = fs.Float64("crash", 0, "adversary: fraction of nodes crash-stopping")
+		crashBy   = fs.Int("crash-by", 16, "adversary: last round a sampled crash may fire")
+		churn     = fs.Float64("churn", 0, "adversary: per-edge per-round down probability")
+		churnKeep = fs.Bool("churn-keep", false, "adversary: preserve connectivity under churn")
+		delayP    = fs.Float64("delay", 0, "adversary: probability a packet is delayed")
+		delayMax  = fs.Int("delay-max", 2, "adversary: maximum extra rounds of delay")
+		observe   = fs.Int("observe", 0, "print streaming round metrics every K rounds of the first trial (0 = off)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sched, err := parseScheduler(*scheduler)
 	if err != nil {
 		return err
 	}
-	stats := nw.Stats()
-	fmt.Printf("graph:    %s n=%d m=%d diameter=%d\n", *family, stats.N, stats.M, stats.Diameter)
-	fmt.Printf("spectral: tmix=%d phi=%.4f iso=%.4f gap=%.5f\n",
-		stats.MixingTime, stats.Conductance, stats.Isoperimetric, stats.SpectralGap)
-
 	adv := anonlead.AdversarySpec{
 		Loss:          *loss,
 		CrashFraction: *crash,
@@ -81,10 +87,15 @@ func run() error {
 	if err := adv.Validate(); err != nil {
 		return err
 	}
-	sched, err := parseScheduler(*scheduler, *parallel)
+
+	nw, err := anonlead.NewNetwork(*family, *n, *seed)
 	if err != nil {
 		return err
 	}
+	stats := nw.Stats()
+	fmt.Fprintf(stdout, "graph:    %s n=%d m=%d diameter=%d\n", *family, stats.N, stats.M, stats.Diameter)
+	fmt.Fprintf(stdout, "spectral: tmix=%d phi=%.4f iso=%.4f gap=%.5f\n",
+		stats.MixingTime, stats.Conductance, stats.Isoperimetric, stats.SpectralGap)
 
 	// ^C cancels the run cooperatively between simulated rounds.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -114,7 +125,7 @@ func run() error {
 			every := *observe
 			opts = append(opts, anonlead.WithObserver(func(ri anonlead.RoundInfo) {
 				if ri.Round%every == 0 {
-					fmt.Printf("  round %-6d halted=%-4d msgs=%-8d charged=%d\n",
+					fmt.Fprintf(stdout, "  round %-6d halted=%-4d msgs=%-8d charged=%d\n",
 						ri.Round, ri.Halted, ri.Metrics.Messages, ri.Metrics.ChargedRounds)
 				}
 			}))
@@ -143,14 +154,14 @@ func run() error {
 	}
 
 	ft := float64(*trials)
-	fmt.Printf("protocol: %s trials=%d scheduler=%s\n", *proto, *trials, sched)
+	fmt.Fprintf(stdout, "protocol: %s trials=%d scheduler=%s\n", *proto, *trials, sched)
 	if desc := adv.Descriptor(); desc != "" {
-		fmt.Printf("faults:   %s (dropped=%.1f delayed=%.1f crashed=%.1f per trial)\n",
+		fmt.Fprintf(stdout, "faults:   %s (dropped=%.1f delayed=%.1f crashed=%.1f per trial)\n",
 			desc, dropped/ft, delayed/ft, crashed/ft)
 	}
-	fmt.Printf("success:  %d/%d unique leader (multi=%d zero=%d unstable=%d)\n",
+	fmt.Fprintf(stdout, "success:  %d/%d unique leader (multi=%d zero=%d unstable=%d)\n",
 		success, *trials, multi, zero, unstable)
-	fmt.Printf("cost:     msgs=%.0f bits=%.0f rounds=%.0f charged=%.0f (per-trial means)\n",
+	fmt.Fprintf(stdout, "cost:     msgs=%.0f bits=%.0f rounds=%.0f charged=%.0f (per-trial means)\n",
 		msgs/ft, bits/ft, rounds/ft, charged/ft)
 	return nil
 }
@@ -165,18 +176,16 @@ func accumulate(msgs, bits, rounds, charged, dropped, delayed, crashed *float64,
 	*crashed += float64(out.Crashed)
 }
 
-func parseScheduler(name string, parallel bool) (anonlead.Scheduler, error) {
+// schedulerNames lists the values -scheduler accepts.
+const schedulerNames = "sequential, workerpool"
+
+func parseScheduler(name string) (anonlead.Scheduler, error) {
 	switch strings.ToLower(name) {
 	case "", "sequential", "seq":
-		if parallel {
-			return anonlead.WorkerPool, nil
-		}
 		return anonlead.Sequential, nil
 	case "workerpool", "pool", "parallel":
 		return anonlead.WorkerPool, nil
-	case "actors":
-		return anonlead.Actors, nil
 	default:
-		return anonlead.Sequential, fmt.Errorf("unknown scheduler %q (sequential, workerpool, actors)", name)
+		return anonlead.Sequential, fmt.Errorf("unknown scheduler %q (valid: %s)", name, schedulerNames)
 	}
 }

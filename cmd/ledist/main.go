@@ -341,7 +341,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 		}(v, nodes[v].link)
 	}
 
-	barrier := transport.NewBarrier(g, congestBits)
+	ledger := sim.NewLedger(n, congestBits)
 	reps := make([]transport.Report, n)
 	gather := func() error {
 		var firstErr error
@@ -378,19 +378,19 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 	if err := gather(); err != nil { // Init pseudo-round
 		return err
 	}
-	barrier.FinishRound(false, reps)
+	transport.FoldRound(ledger, g, false, reps)
 	connectSecs := time.Since(began).Seconds()
 
 	res := &runRes{ConnectSeconds: connectSecs}
 	art.Dist = res
 	runStart := time.Now()
 	var runErr error
-	for !barrier.ShouldStop() && barrier.Round() < roundBudget {
+	for !ledger.Done() && ledger.Round() < roundBudget {
 		if err := ctx.Err(); err != nil {
 			runErr = err
 			break
 		}
-		round := barrier.Round()
+		round := ledger.Round()
 		t0 := time.Now()
 		for v := 0; v < n; v++ {
 			if err := writeFrame(nodes[v].link, transport.Frame{Type: transport.FrameStart, Round: round}); err != nil {
@@ -400,7 +400,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 		if err := gather(); err != nil {
 			return err
 		}
-		barrier.FinishRound(true, reps)
+		transport.FoldRound(ledger, g, true, reps)
 		res.RoundSeconds = append(res.RoundSeconds, time.Since(t0).Seconds())
 	}
 	res.ElapsedSeconds = time.Since(runStart).Seconds()
@@ -446,7 +446,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 		}
 	}
 
-	m := barrier.Metrics()
+	m := ledger.Metrics()
 	res.Rounds = m.Rounds
 	res.ChargedRounds = m.ChargedRounds
 	res.Messages = m.Messages
@@ -456,7 +456,7 @@ func runDistributed(ctx context.Context, g *graph.Graph, entry core.Entry, pc co
 	if m.Rounds > 0 {
 		res.SecondsPerRound = res.ElapsedSeconds / float64(m.Rounds)
 	}
-	if runErr == nil && !barrier.AllHalted() {
+	if runErr == nil && !ledger.AllHalted() {
 		runErr = fmt.Errorf("election incomplete after %d rounds", m.Rounds)
 	}
 	return runErr

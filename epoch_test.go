@@ -26,7 +26,7 @@ func runEpochHistory(t *testing.T, opts ...Option) (EpochOutcome, []byte) {
 // TestEpochChainDeterminism is the PR's acceptance criterion: a 5-epoch
 // crash-recover history — five chained elections, each killing the
 // elected leader for every later epoch — must be byte-identical across
-// the Sequential, WorkerPool and Actors schedulers (orchestrator parity
+// the Sequential and WorkerPool schedulers (orchestrator parity
 // lives in internal/harness's epoch tests).
 func TestEpochChainDeterminism(t *testing.T) {
 	base, baseRaw := runEpochHistory(t)
@@ -59,7 +59,7 @@ func TestEpochChainDeterminism(t *testing.T) {
 		t.Fatalf("no recovery time measured: %+v", base)
 	}
 
-	for _, s := range []Scheduler{WorkerPool, Actors} {
+	for _, s := range []Scheduler{WorkerPool} {
 		_, raw := runEpochHistory(t, WithScheduler(s))
 		if string(raw) != string(baseRaw) {
 			t.Errorf("scheduler %v history diverges from sequential:\n%s\nvs\n%s", s, raw, baseRaw)

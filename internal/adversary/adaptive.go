@@ -12,7 +12,7 @@ import "anonlead/internal/sim"
 // No seed is involved: the victims are a pure function of the observed
 // traffic, and the traffic itself is deterministic (route() is
 // single-threaded in node order under every scheduler), so adaptive runs
-// remain byte-identical across Sequential, WorkerPool, and Actors.
+// remain byte-identical across Sequential and WorkerPool.
 //
 // Ties break to the lower node index; nodes with zero accumulated traffic
 // are never picked (a crashed or silent node is not a leader candidate).

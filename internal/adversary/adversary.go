@@ -12,8 +12,8 @@
 // Every decision an adversary makes is a pure function of its seed and the
 // decision's coordinates (round, edge, node) — never of call order or
 // scheduler interleaving — derived through rng.DeriveSeed splitting. Runs
-// are therefore byte-identical across the Sequential, WorkerPool, and
-// Actors schedulers, and a fault sweep is exactly as reproducible as the
+// are therefore byte-identical across the Sequential and WorkerPool
+// schedulers, and a fault sweep is exactly as reproducible as the
 // fault-free sweeps it extends.
 //
 // Four primitives are provided, each implementing sim.Adversary, plus

@@ -80,7 +80,11 @@ func TestIREParallelSchedulerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(parallel bool) ([]IREOutput, sim.Metrics) {
-		nw := sim.New(sim.Config{Graph: g, Seed: 17, Parallel: parallel, Workers: 4}, factory)
+		scfg := sim.Config{Graph: g, Seed: 17, Workers: 4}
+		if parallel {
+			scfg.Scheduler = sim.WorkerPool
+		}
+		nw := sim.New(scfg, factory)
 		_, _, _, _, total := nw.Machine(0).(*IREMachine).Params()
 		nw.Run(total + 4)
 		outs := make([]IREOutput, g.N())

@@ -350,6 +350,9 @@ func GNPConnected(n int, p float64, r *rng.RNG) (*Graph, error) {
 // expander (alias for regular6), diam2 (clique-of-cliques with a hub,
 // k ≈ √(n-1) cliques; alias cliquehub).
 func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
+	if min, ok := familyMin[name]; ok && n < min {
+		return nil, fmt.Errorf("graph: %s needs n>=%d, got %d", name, min, n)
+	}
 	switch name {
 	case "cycle":
 		return Cycle(n), nil
@@ -365,7 +368,7 @@ func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
 	case "torus":
 		rows, cols := squareDims(n)
 		if rows < 3 || cols < 3 {
-			return nil, fmt.Errorf("graph: torus needs n>=9, got %d", n)
+			return nil, fmt.Errorf("graph: torus needs n = rows*cols with rows, cols >= 3, got %d", n)
 		}
 		return Torus(rows, cols), nil
 	case "hypercube":
@@ -373,23 +376,14 @@ func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
 		for (1 << (dim + 1)) <= n {
 			dim++
 		}
-		if dim < 1 {
-			return nil, fmt.Errorf("graph: hypercube needs n>=2, got %d", n)
-		}
 		return Hypercube(dim), nil
 	case "tree":
 		return BinaryTree(n), nil
 	case "barbell":
 		k := n / 3
-		if k < 2 {
-			return nil, fmt.Errorf("graph: barbell needs n>=6, got %d", n)
-		}
 		return Barbell(k, n-2*k+1), nil
 	case "lollipop":
 		k := n / 2
-		if k < 2 || n-k < 1 {
-			return nil, fmt.Errorf("graph: lollipop needs n>=5, got %d", n)
-		}
 		return Lollipop(k, n-k), nil
 	case "regular", "regular4":
 		return RandomRegular(n, 4, r)
@@ -402,9 +396,6 @@ func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
 	case "regular6", "expander":
 		return RandomRegular(n, 6, r)
 	case "diam2", "cliquehub":
-		if n < 4 {
-			return nil, fmt.Errorf("graph: diam2 needs n>=4, got %d", n)
-		}
 		k := int(math.Sqrt(float64(n - 1)))
 		if k < 2 {
 			k = 2
@@ -416,6 +407,14 @@ func ByName(name string, n int, r *rng.RNG) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("graph: unknown family %q", name)
 	}
+}
+
+// familyMin is the smallest n each ByName family can build. The random
+// regular families are absent: RandomRegular validates (n, d) itself.
+var familyMin = map[string]int{
+	"cycle": 3, "path": 2, "complete": 2, "star": 2, "grid": 2, "torus": 9,
+	"hypercube": 2, "tree": 2, "barbell": 6, "lollipop": 4, "diam2": 4,
+	"cliquehub": 4, "gnp": 2,
 }
 
 // FamilyNames lists the names accepted by ByName, for CLI help text.

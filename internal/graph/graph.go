@@ -30,10 +30,9 @@ type Graph struct {
 // Builder accumulates edges and produces an immutable Graph. The zero value
 // is not usable; construct with NewBuilder.
 type Builder struct {
-	n     int
-	adj   [][]int32
-	seen  map[[2]int32]struct{}
-	loops bool
+	n    int
+	adj  [][]int32
+	seen map[[2]int32]struct{}
 }
 
 // NewBuilder returns a Builder for a graph on n nodes (labeled 0..n-1).
@@ -49,14 +48,13 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge adds the undirected edge {u, v}. Duplicate edges are ignored
-// (simple graph); self-loops are rejected. AddEdge panics on out-of-range
+// (simple graph); self-loops are dropped. AddEdge panics on out-of-range
 // endpoints, which always indicates a generator bug.
 func (b *Builder) AddEdge(u, v int) {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
 	}
 	if u == v {
-		b.loops = true
 		return
 	}
 	a, c := int32(u), int32(v)

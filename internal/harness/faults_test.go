@@ -150,7 +150,7 @@ func TestRevocableCrashSweepDeterminism(t *testing.T) {
 	if !crashed {
 		t.Fatalf("crash ladder crashed nobody: %+v", ref)
 	}
-	for _, sched := range []sim.Scheduler{sim.Sequential, sim.WorkerPool, sim.Actors} {
+	for _, sched := range []sim.Scheduler{sim.Sequential, sim.WorkerPool} {
 		s2 := f5.CellSpecs(2, 9)
 		for i := range s2 {
 			s2[i].Opts.Scheduler = sched

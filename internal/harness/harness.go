@@ -81,10 +81,7 @@ type Trial struct {
 // SimOpts carries the execution knobs every trial runner threads into the
 // public Run path: scheduler selection and the optional fault adversary.
 type SimOpts struct {
-	// Parallel selects the WorkerPool scheduler (kept for compatibility;
-	// an explicit Scheduler wins).
-	Parallel bool
-	// Scheduler explicitly selects the execution engine.
+	// Scheduler selects the execution engine.
 	Scheduler sim.Scheduler
 	// Adversary, when non-nil and non-zero, fault-injects the trial. The
 	// runtime adversary is built inside anonlead.Run with the canonical
@@ -104,11 +101,8 @@ func (o SimOpts) faulted() bool {
 // options maps the execution knobs onto public Run options.
 func (o SimOpts) options(seed uint64) []anonlead.Option {
 	opts := []anonlead.Option{anonlead.WithSeed(seed)}
-	if o.Parallel {
-		opts = append(opts, anonlead.WithParallel(true))
-	}
-	if o.Scheduler != sim.Sequential {
-		opts = append(opts, anonlead.WithScheduler(publicScheduler(o.Scheduler)))
+	if o.Scheduler == sim.WorkerPool {
+		opts = append(opts, anonlead.WithScheduler(anonlead.WorkerPool))
 	}
 	if o.Adversary != nil {
 		opts = append(opts, anonlead.WithAdversary(publicAdversary(*o.Adversary)))
@@ -117,18 +111,6 @@ func (o SimOpts) options(seed uint64) []anonlead.Option {
 		opts = append(opts, anonlead.WithObserver(o.Observer))
 	}
 	return opts
-}
-
-// publicScheduler mirrors a simulator scheduler into the public enum.
-func publicScheduler(s sim.Scheduler) anonlead.Scheduler {
-	switch s {
-	case sim.WorkerPool:
-		return anonlead.WorkerPool
-	case sim.Actors:
-		return anonlead.Actors
-	default:
-		return anonlead.Sequential
-	}
 }
 
 // publicAdversary mirrors an internal adversary spec into the public one,
@@ -170,8 +152,9 @@ func simMetrics(m anonlead.Metrics) sim.Metrics {
 
 // TrialOpts configures a batch of trials.
 type TrialOpts struct {
-	Trials   int
-	Seed     uint64
+	Trials int
+	Seed   uint64
+	// Parallel runs every trial on the WorkerPool scheduler.
 	Parallel bool
 	// Scheduler explicitly selects the simulator engine for every trial
 	// (zero = Sequential unless Parallel is set). All engines are
@@ -414,7 +397,10 @@ func runOne(p Protocol, anw *anonlead.Network, prof *spectral.Profile, opts Tria
 	if opts.PresumedN > 0 {
 		presumedN = opts.PresumedN
 	}
-	simo := SimOpts{Parallel: opts.Parallel, Scheduler: opts.Scheduler, Adversary: opts.Adversary}
+	simo := SimOpts{Scheduler: opts.Scheduler, Adversary: opts.Adversary}
+	if opts.Parallel {
+		simo.Scheduler = sim.WorkerPool
+	}
 	var rp *obs.RoundProfile
 	if opts.RoundProfile {
 		rp = &obs.RoundProfile{}

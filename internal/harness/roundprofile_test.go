@@ -12,11 +12,11 @@ import (
 // TestRoundProfileDeterministicAcrossSchedulers pins the round-profile
 // guarantee the schema-v5 artifact section depends on: the per-round
 // message/halt histograms are pure functions of (graph, protocol, seed),
-// byte-identical across the Sequential, WorkerPool and Actors engines.
+// byte-identical across the Sequential and WorkerPool engines.
 func TestRoundProfileDeterministicAcrossSchedulers(t *testing.T) {
 	w := Workload{Family: "expander", N: 24}
 	profiles := make(map[sim.Scheduler]*obs.RoundProfile)
-	for _, s := range []sim.Scheduler{sim.Sequential, sim.WorkerPool, sim.Actors} {
+	for _, s := range []sim.Scheduler{sim.Sequential, sim.WorkerPool} {
 		cell, err := RunCell(ProtoIRE, w, TrialOpts{
 			Trials: 3, Seed: 7, Scheduler: s, RoundProfile: true,
 		})
@@ -32,7 +32,7 @@ func TestRoundProfileDeterministicAcrossSchedulers(t *testing.T) {
 	if ref.Rounds == 0 || ref.TotalMsgs == 0 || len(ref.MsgRounds) == 0 {
 		t.Fatalf("degenerate reference profile: %+v", ref)
 	}
-	for _, s := range []sim.Scheduler{sim.WorkerPool, sim.Actors} {
+	for _, s := range []sim.Scheduler{sim.WorkerPool} {
 		a, _ := json.Marshal(ref)
 		b, _ := json.Marshal(profiles[s])
 		if string(a) != string(b) {

@@ -12,8 +12,8 @@ const RoundProfileBuckets = 64
 // behaviour: how many rounds saw how many messages, when the message peak
 // happened, and how halting progressed. All fields are integers derived
 // from the simulator's cumulative Metrics deltas, so a profile is a pure
-// function of (graph, protocol, seed) — identical across the Sequential,
-// WorkerPool and Actors schedulers — and two profiles merge by addition.
+// function of (graph, protocol, seed) — identical across the Sequential
+// and WorkerPool schedulers — and two profiles merge by addition.
 //
 // MsgRounds[b] counts rounds whose per-round message total fell in
 // bucket b: bucket 0 is exactly 0 messages, bucket b >= 1 is

@@ -5,7 +5,7 @@ package sim
 // routing/coordination path only, so implementations never see concurrent
 // calls — but determinism still must not lean on call order: every decision
 // is required to be a pure function of the adversary's own seed material
-// and the call's arguments, so that the Sequential, WorkerPool, and Actors
+// and the call's arguments, so that the Sequential and WorkerPool
 // schedulers observe byte-identical faults. internal/adversary provides
 // composable implementations (Bernoulli link loss, crash-stop schedules,
 // link churn, delivery-delay jitter) built on rng seed splitting.
@@ -38,7 +38,7 @@ type Adversary interface {
 // Determinism is preserved without any extra seed material: route() is
 // single-threaded and iterates nodes in index order under every scheduler,
 // so the observed counts — and therefore any pure function of them — are
-// byte-identical across Sequential, WorkerPool, and Actors.
+// byte-identical across Sequential and WorkerPool.
 //
 // Adaptive crashes compose with a static CrashRound schedule: the earlier
 // of the two rounds wins, and already-crashed nodes are skipped.
@@ -84,8 +84,8 @@ func (nw *Network) applyCrashes(round int) {
 	for v, at := range nw.crashAt {
 		if at >= 0 && at <= round && !nw.crashed[v] {
 			nw.crashed[v] = true
-			nw.halted[v] = true
-			nw.metrics.Crashes++
+			nw.ledger.Halt(v)
+			nw.ledger.metrics.Crashes++
 		}
 	}
 }
@@ -102,7 +102,7 @@ func (nw *Network) releaseFutures(round int) {
 	bucket := nw.future[slot]
 	for _, fd := range bucket {
 		nw.pendingFuture--
-		if nw.halted[fd.node] {
+		if nw.ledger.halted[fd.node] {
 			continue
 		}
 		nw.inbox[fd.node] = append(nw.inbox[fd.node], fd.pkt)
@@ -131,5 +131,5 @@ func (nw *Network) Crashed(v int) bool {
 
 // CrashedCount returns the number of crash-stopped nodes so far.
 func (nw *Network) CrashedCount() int {
-	return nw.metrics.Crashes
+	return nw.ledger.metrics.Crashes
 }

@@ -168,7 +168,7 @@ func TestDelayedPacketsToHaltedNodesDiscarded(t *testing.T) {
 }
 
 // TestAdversarySchedulerIdentity: fault-injected runs are bit-identical
-// across Sequential, WorkerPool, and Actors schedulers.
+// across the Sequential and WorkerPool schedulers.
 func TestAdversarySchedulerIdentity(t *testing.T) {
 	g := graph.Torus(4, 6)
 	mkAdv := func() Adversary {
@@ -200,7 +200,6 @@ func TestAdversarySchedulerIdentity(t *testing.T) {
 	}
 	run := func(s Scheduler) result {
 		nw := recorderNetAdv(g, 10, s, mkAdv())
-		defer nw.Close()
 		nw.Run(60)
 		r := result{obs: make([][][3]int, g.N())}
 		for v := 0; v < g.N(); v++ {
@@ -213,7 +212,7 @@ func TestAdversarySchedulerIdentity(t *testing.T) {
 	if ref.met.Dropped == 0 || ref.met.Delayed == 0 || ref.met.Crashes == 0 {
 		t.Fatalf("test adversary inert: %+v", ref.met)
 	}
-	for _, s := range []Scheduler{WorkerPool, Actors} {
+	for _, s := range []Scheduler{WorkerPool} {
 		got := run(s)
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("scheduler %v diverged under faults:\nseq: %+v\ngot: %+v", s, ref.met, got.met)

@@ -23,9 +23,6 @@ type Config struct {
 	// Scheduler selects the execution engine; all engines are
 	// bit-identical. The zero value is Sequential.
 	Scheduler Scheduler
-	// Parallel is a convenience alias for Scheduler: WorkerPool (it wins
-	// over a zero Scheduler, loses to an explicit one).
-	Parallel bool
 	// Workers sets the pool size for WorkerPool (0 = GOMAXPROCS).
 	Workers int
 	// Trace, when non-nil, receives protocol events emitted through
@@ -43,6 +40,19 @@ type Config struct {
 	Observer func(RoundInfo)
 }
 
+// Scheduler selects how node steps are executed each round. All schedulers
+// produce bit-identical results: randomness is pre-split per node and
+// routing is always performed in node order.
+type Scheduler int
+
+const (
+	// Sequential runs node steps in index order on the calling goroutine.
+	Sequential Scheduler = iota
+	// WorkerPool fans node steps out over a bounded goroutine pool that
+	// is spawned per round.
+	WorkerPool
+)
+
 // RoundInfo is the per-round snapshot handed to a configured Observer.
 type RoundInfo struct {
 	// Round is the index of the round just executed (0-based; the Init
@@ -56,34 +66,23 @@ type RoundInfo struct {
 }
 
 // Network is a running simulation: one Machine per node plus double-buffered
-// mailboxes and cost accounting. Not safe for concurrent use by multiple
-// callers; internally the parallel scheduler partitions work safely.
+// mailboxes, with the round rules and cost accounting kept by a Ledger.
+// Not safe for concurrent use by multiple callers; internally the parallel
+// scheduler partitions work safely.
 type Network struct {
 	g         *graph.Graph
 	machines  []Machine
 	ctxs      []Context
-	halted    []bool
 	inbox     [][]Packet
 	next      [][]Packet
 	revPort   []int32 // flat: reverse port of (v, port) = revPort[edgeOff[v]+port]
 	edgeOff   []int   // directed edge id of (v, port) = edgeOff[v] + port
 	rngs      []rng.RNG
-	metrics   Metrics
+	ledger    *Ledger
+	meter     LinkMeter // reused by every sender of a routed round
 	scheduler Scheduler
 	workers   int
-	inflight  int
-	actors    *actorPool
 	observer  func(RoundInfo)
-	// Link accounting: per directed edge, a chain of per-channel bit loads
-	// accumulated within one round. linkHead[e] indexes the first load of
-	// edge e in loads (valid only when linkEpoch[e] == routeEpoch); loads
-	// and touched are truncated and refilled each round, so the routing hot
-	// path is allocation-free once the buffers have warmed up.
-	linkHead   []int32
-	linkEpoch  []uint64
-	routeEpoch uint64
-	loads      []chanLoad
-	touched    []int32
 	// Fault injection (all nil/empty when adv is nil — the common case).
 	adv           Adversary
 	crashAt       []int              // per-node crash round (-1 = never)
@@ -94,17 +93,10 @@ type Network struct {
 	sent          []int              // per-node send counts of the routed round (adaptive only)
 }
 
-// chanLoad is the bit load of one (directed edge, channel) pair within one
-// round. Loads of the same edge are chained through next (-1 terminates).
-type chanLoad struct {
-	channel uint32
-	next    int32
-	bits    int
-}
-
-// defaultCongestBits returns the default per-link budget for an n-node
-// network: 8·⌈log₂ n⌉ bits (a concrete instantiation of O(log n)).
-func defaultCongestBits(n int) int {
+// DefaultCongestBits returns the default per-link budget for an n-node
+// network: 8·⌈log₂ n⌉ bits (a concrete instantiation of O(log n)). Every
+// backend's Ledger defaults to it.
+func DefaultCongestBits(n int) int {
 	bits := 0
 	for v := n; v > 1; v >>= 1 {
 		bits++
@@ -118,11 +110,6 @@ func defaultCongestBits(n int) int {
 	return 8 * bits
 }
 
-// DefaultCongestBits exposes the default budget to alternative execution
-// backends (internal/transport), which must charge link slots with the
-// same budget to stay metric-compatible with the simulator.
-func DefaultCongestBits(n int) int { return defaultCongestBits(n) }
-
 // New builds a network, constructs one machine per node via factory, and
 // runs every machine's Init (whose sends arrive at the start of round 0).
 func New(cfg Config, factory Factory) *Network {
@@ -131,17 +118,9 @@ func New(cfg Config, factory Factory) *Network {
 		panic("sim: config requires a non-empty graph")
 	}
 	n := g.N()
-	budget := cfg.CongestBits
-	if budget <= 0 {
-		budget = defaultCongestBits(n)
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	scheduler := cfg.Scheduler
-	if scheduler == Sequential && cfg.Parallel {
-		scheduler = WorkerPool
 	}
 	// Struct-of-arrays state: every per-node and per-edge buffer is carved
 	// out of one flat allocation, so building a network is O(m) work with
@@ -154,17 +133,17 @@ func New(cfg Config, factory Factory) *Network {
 		g:         g,
 		machines:  make([]Machine, n),
 		ctxs:      make([]Context, n),
-		halted:    make([]bool, n),
 		inbox:     make([][]Packet, n),
 		next:      make([][]Packet, n),
 		revPort:   g.ReversePorts(),
 		edgeOff:   g.EdgeOffsets(),
 		rngs:      make([]rng.RNG, n),
-		scheduler: scheduler,
+		ledger:    NewLedger(n, cfg.CongestBits),
+		scheduler: cfg.Scheduler,
 		workers:   workers,
 		observer:  cfg.Observer,
 	}
-	nw.metrics.CongestBits = budget
+	nw.meter = NewLinkMeter(g.MaxDegree(), nw.ledger.Metrics().CongestBits)
 
 	root := rng.New(cfg.Seed)
 	off := nw.edgeOff[n]
@@ -183,8 +162,6 @@ func New(cfg Config, factory Factory) *Network {
 		nw.ctxs[v] = Context{degree: deg, rng: &nw.rngs[v], node: v, rec: cfg.Trace, out: outBuf[lo:lo:hi]}
 		nw.machines[v] = factory(v, deg, nw.ctxs[v].rng)
 	}
-	nw.linkHead = make([]int32, off)
-	nw.linkEpoch = make([]uint64, off)
 
 	if cfg.Adversary != nil {
 		nw.adv = cfg.Adversary
@@ -211,7 +188,7 @@ func New(cfg Config, factory Factory) *Network {
 		nw.machines[v].Init(ctx)
 	}
 	nw.route(-1)
-	nw.finishRoundAccounting(false)
+	nw.ledger.FinishRound(false)
 	return nw
 }
 
@@ -226,54 +203,37 @@ func (nw *Network) Graph() *graph.Graph { return nw.g }
 func (nw *Network) Machine(v int) Machine { return nw.machines[v] }
 
 // Halted reports whether node v has halted.
-func (nw *Network) Halted(v int) bool { return nw.halted[v] }
+func (nw *Network) Halted(v int) bool { return nw.ledger.Halted(v) }
 
 // AllHalted reports whether every node has halted.
-func (nw *Network) AllHalted() bool {
-	for _, h := range nw.halted {
-		if !h {
-			return false
-		}
-	}
-	return true
-}
+func (nw *Network) AllHalted() bool { return nw.ledger.AllHalted() }
 
 // Metrics returns a snapshot of the accumulated cost accounting.
-func (nw *Network) Metrics() Metrics { return nw.metrics }
+func (nw *Network) Metrics() Metrics { return nw.ledger.Metrics() }
+
+// Close implements transport.Runtime. The simulator holds no goroutines
+// or sockets between rounds, so there is nothing to release.
+func (nw *Network) Close() {}
 
 // Step executes one synchronous round and returns false once every node
-// has halted and no packets remain in flight (releasing any persistent
-// actor goroutines).
+// has halted and no packets remain in flight.
 func (nw *Network) Step() bool {
-	if nw.AllHalted() && nw.inflight == 0 {
+	if nw.ledger.Done() {
 		// Parked delayed packets can only target halted receivers now, so
 		// they are undeliverable — discard instead of spinning drain rounds.
 		nw.dropAllFutures()
-		nw.Close()
 		return false
 	}
-	round := nw.metrics.Rounds
+	round := nw.ledger.Round()
 	nw.applyCrashes(round)
 	nw.releaseFutures(round)
 	nw.deliver(round)
 	nw.route(round)
-	nw.metrics.Rounds++
-	nw.finishRoundAccounting(true)
+	nw.ledger.FinishRound(true)
 	if nw.observer != nil {
-		nw.observer(RoundInfo{Round: round, Halted: nw.haltedCount(), Metrics: nw.metrics})
+		nw.observer(RoundInfo{Round: round, Halted: nw.ledger.HaltedCount(), Metrics: nw.ledger.Metrics()})
 	}
 	return true
-}
-
-// haltedCount returns the number of stopped nodes (halts and crashes).
-func (nw *Network) haltedCount() int {
-	count := 0
-	for _, h := range nw.halted {
-		if h {
-			count++
-		}
-	}
-	return count
 }
 
 // Run executes up to rounds rounds, stopping early on global halt. It
@@ -342,7 +302,7 @@ func (nw *Network) RunUntilContext(ctx context.Context, maxRounds int, done func
 func (nw *Network) stepNode(v, round int) {
 	ctx := &nw.ctxs[v]
 	ctx.reset(round)
-	if nw.halted[v] {
+	if nw.ledger.halted[v] {
 		return
 	}
 	box := nw.inbox[v]
@@ -355,8 +315,6 @@ func (nw *Network) stepNode(v, round int) {
 func (nw *Network) deliver(round int) {
 	n := len(nw.machines)
 	switch {
-	case nw.scheduler == Actors:
-		nw.deliverActors(round)
 	case nw.scheduler == WorkerPool && n >= 2*nw.workers:
 		var wg sync.WaitGroup
 		chunk := (n + nw.workers - 1) / nw.workers
@@ -387,46 +345,44 @@ func (nw *Network) deliver(round int) {
 
 // route moves every context's sends into the receivers' next-round
 // mailboxes, in sender order (single-threaded: determinism for every
-// scheduler), applies halts, meters traffic, and — when an adversary is
-// configured — lets it drop or delay each packet. round is the round whose
-// sends are being routed (-1 for Init).
+// scheduler), folds each sender's halt, traffic and link charge into the
+// ledger, and — when an adversary is configured — lets it drop or delay
+// each packet. round is the round whose sends are being routed (-1 for
+// Init).
 func (nw *Network) route(round int) {
-	nw.inflight = 0
-	nw.routeEpoch++
-	nw.loads = nw.loads[:0]
-	nw.touched = nw.touched[:0]
+	led := nw.ledger
 	for v := range nw.machines {
 		ctx := &nw.ctxs[v]
 		if ctx.halted {
-			nw.halted[v] = true
+			led.Halt(v)
 		}
 		if nw.adaptive != nil {
 			nw.sent[v] = len(ctx.out)
 		}
+		var bits int64
+		inflight := 0
 		for _, s := range ctx.out {
 			w := nw.g.Neighbor(v, s.port)
-			e := nw.edgeOff[v] + s.port
-			q := nw.revPort[e]
-			bits := s.payload.Bits()
-			nw.metrics.Messages++
-			nw.metrics.Bits += int64(bits)
+			q := nw.revPort[nw.edgeOff[v]+s.port]
+			b := s.payload.Bits()
+			bits += int64(b)
 			// Link slots are charged before the adversary acts: a dropped
 			// or delayed packet was still transmitted by its sender.
-			nw.addLinkBits(int32(e), s.channel, bits)
+			nw.meter.Add(s.port, s.channel, b)
 			delay := 0
 			if nw.adv != nil {
 				drop, d := nw.adv.Fate(round, v, s.port, w)
 				if drop {
-					nw.metrics.Dropped++
+					led.metrics.Dropped++
 					continue
 				}
 				delay = d
 			}
-			if nw.halted[w] {
+			if led.halted[w] {
 				continue // receiver stopped: packet dropped
 			}
 			if delay > 0 {
-				nw.metrics.Delayed++
+				led.metrics.Delayed++
 				slot := (round + 1 + delay) % len(nw.future)
 				nw.future[slot] = append(nw.future[slot],
 					futureDelivery{node: w, pkt: Packet{Port: int(q), Channel: s.channel, Payload: s.payload}})
@@ -434,7 +390,11 @@ func (nw *Network) route(round int) {
 				continue
 			}
 			nw.next[w] = append(nw.next[w], Packet{Port: int(q), Channel: s.channel, Payload: s.payload})
-			nw.inflight++
+			inflight++
+		}
+		if len(ctx.out) > 0 {
+			led.Sent(int64(len(ctx.out)), bits, inflight)
+			led.Charge(nw.meter.Charge())
 		}
 		ctx.out = ctx.out[:0]
 	}
@@ -442,75 +402,6 @@ func (nw *Network) route(round int) {
 	if nw.adaptive != nil {
 		nw.observeTraffic(round)
 	}
-}
-
-// addLinkBits accumulates bits on (directed edge e, channel) for this
-// round's slot accounting. The first load of an edge claims a fresh chain
-// head (epoch-gated, so no per-round clearing of the per-edge arrays);
-// further channels extend the chain. Channel counts per link per round are
-// small, so the chain walk beats hashing — and unlike the old map it never
-// allocates once loads/touched have warmed up.
-func (nw *Network) addLinkBits(e int32, channel uint32, bits int) {
-	if nw.linkEpoch[e] != nw.routeEpoch {
-		nw.linkEpoch[e] = nw.routeEpoch
-		nw.linkHead[e] = int32(len(nw.loads))
-		nw.loads = append(nw.loads, chanLoad{channel: channel, bits: bits, next: -1})
-		nw.touched = append(nw.touched, e)
-		return
-	}
-	idx := nw.linkHead[e]
-	for {
-		if nw.loads[idx].channel == channel {
-			nw.loads[idx].bits += bits
-			return
-		}
-		next := nw.loads[idx].next
-		if next < 0 {
-			tail := int32(len(nw.loads))
-			nw.loads = append(nw.loads, chanLoad{channel: channel, bits: bits, next: -1})
-			nw.loads[idx].next = tail
-			return
-		}
-		idx = next
-	}
-}
-
-// finishRoundAccounting converts the per-link bit loads of the round just
-// routed into CONGEST charged rounds. counted=false is used for the Init
-// pseudo-round, which charges slots but not a base round.
-func (nw *Network) finishRoundAccounting(counted bool) {
-	budget := nw.metrics.CongestBits
-	maxSlots, maxChannels := 0, 0
-	for _, e := range nw.touched {
-		// slots = sum over the edge's channels of ceil(bits/budget);
-		// distinct channels never share a slot.
-		slots, channels := 0, 0
-		for idx := nw.linkHead[e]; idx >= 0; idx = nw.loads[idx].next {
-			s := (nw.loads[idx].bits + budget - 1) / budget
-			if s < 1 {
-				s = 1
-			}
-			slots += s
-			channels++
-		}
-		if slots > maxSlots {
-			maxSlots = slots
-		}
-		if channels > maxChannels {
-			maxChannels = channels
-		}
-	}
-	if maxSlots > nw.metrics.MaxLinkSlots {
-		nw.metrics.MaxLinkSlots = maxSlots
-	}
-	if maxChannels > nw.metrics.MaxChannels {
-		nw.metrics.MaxChannels = maxChannels
-	}
-	charge := int64(maxSlots)
-	if counted && charge < 1 {
-		charge = 1
-	}
-	nw.metrics.ChargedRounds += charge
 }
 
 // sortInbox orders packets by (port, channel) with stable order for ties

@@ -124,12 +124,11 @@ func TestContextTraceDisabledIsNoop(t *testing.T) {
 
 func TestContextTraceConcurrentSchedulers(t *testing.T) {
 	g := graph.Torus(4, 4)
-	for _, s := range []Scheduler{WorkerPool, Actors} {
+	for _, s := range []Scheduler{WorkerPool} {
 		rec := trace.NewCounting()
 		nw := New(Config{Graph: g, Seed: 1, Scheduler: s, Trace: rec},
 			func(node, degree int, r *rng.RNG) Machine { return &tracer{} })
 		nw.Run(10)
-		nw.Close()
 		if rec.Count("init") != int64(g.N()) {
 			t.Fatalf("scheduler %v: init events %d", s, rec.Count("init"))
 		}

@@ -15,6 +15,11 @@
 //     logical channels (parallel protocol executions, cf. the paper's
 //     super-round multiplexing) never sharing a slot.
 //
+// These round rules have one implementation, shared with the
+// real-transport backend: a LinkMeter charges one sender's sends, and a
+// Ledger folds the senders of a round into halts, the stop rule and
+// Metrics.
+//
 // Two schedulers execute the same deterministic semantics: a sequential
 // loop, and a goroutine worker pool that fans node steps out across CPUs
 // and re-merges sends in node order (so results are bit-identical).

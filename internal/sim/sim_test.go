@@ -44,7 +44,11 @@ func (m *recorder) Step(ctx *Context, inbox []Packet) {
 }
 
 func newRecorderNet(g *graph.Graph, stopRound, bits int, parallel bool) *Network {
-	return New(Config{Graph: g, Seed: 1, Parallel: parallel}, func(node, degree int, r *rng.RNG) Machine {
+	cfg := Config{Graph: g, Seed: 1}
+	if parallel {
+		cfg.Scheduler = WorkerPool
+	}
+	return New(cfg, func(node, degree int, r *rng.RNG) Machine {
 		return &recorder{stopRound: stopRound, sendBits: bits}
 	})
 }
@@ -246,7 +250,11 @@ func (m *gossiper) Step(ctx *Context, inbox []Packet) {
 
 func runGossip(parallel bool, workers int) ([]uint64, Metrics) {
 	g := graph.Torus(4, 5)
-	nw := New(Config{Graph: g, Seed: 7, Parallel: parallel, Workers: workers},
+	cfg := Config{Graph: g, Seed: 7, Workers: workers}
+	if parallel {
+		cfg.Scheduler = WorkerPool
+	}
+	nw := New(cfg,
 		func(node, degree int, r *rng.RNG) Machine { return &gossiper{} })
 	nw.Run(50)
 	vals := make([]uint64, g.N())
@@ -269,6 +277,18 @@ func TestSchedulerDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: metrics differ:\nseq %+v\npar %+v", workers, seqMet, parMet)
 		}
 	}
+}
+
+// TestCloseNoOpForOtherSchedulers: Close (kept for transport.Runtime)
+// releases nothing, and the network keeps running after it.
+func TestCloseNoOpForOtherSchedulers(t *testing.T) {
+	g := graph.Cycle(4)
+	nw := New(Config{Graph: g, Seed: 1},
+		func(node, degree int, r *rng.RNG) Machine {
+			return &recorder{stopRound: 2, sendBits: 4}
+		})
+	nw.Close()
+	nw.Run(10)
 }
 
 func TestGossipConverges(t *testing.T) {
@@ -328,8 +348,8 @@ func (m *nilSender) Step(ctx *Context, inbox []Packet) {
 func TestDefaultCongestBits(t *testing.T) {
 	cases := map[int]int{2: 8, 3: 16, 4: 16, 5: 24, 256: 64, 257: 72, 1024: 80}
 	for n, want := range cases {
-		if got := defaultCongestBits(n); got != want {
-			t.Fatalf("defaultCongestBits(%d) = %d want %d", n, got, want)
+		if got := DefaultCongestBits(n); got != want {
+			t.Fatalf("DefaultCongestBits(%d) = %d want %d", n, got, want)
 		}
 	}
 }

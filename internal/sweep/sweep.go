@@ -111,6 +111,10 @@ type Coordinator struct {
 	// the first Run); the -debug-addr endpoint polls it via Progress.
 	progMu sync.Mutex
 	prog   *progressState
+
+	// logMu serializes log lines: workers log concurrently, and Log is
+	// any io.Writer, not necessarily safe for concurrent writes.
+	logMu sync.Mutex
 }
 
 // workerTask is one worker's share of the plan.
@@ -327,6 +331,8 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Log == nil {
 		return
 	}
+	c.logMu.Lock()
+	defer c.logMu.Unlock()
 	fmt.Fprintf(c.cfg.Log, "lesweep: "+format+"\n", args...)
 }
 

@@ -38,19 +38,19 @@ type Config struct {
 
 // Cluster runs one election as real message-passing nodes inside this
 // process: one driver goroutine per node over a Transport fabric, with
-// the coordinator (the caller's goroutine) releasing rounds through the
-// Barrier. It implements Runtime and sim.View, so the registry's
-// Converged/Collect hooks and the public Run path drive it exactly like
-// the simulator.
+// the coordinator (the caller's goroutine) releasing rounds and folding
+// the nodes' reports into a sim.Ledger. It implements Runtime and
+// sim.View, so the registry's Converged/Collect hooks and the public Run
+// path drive it exactly like the simulator.
 //
-// Between Run calls and after a run completes, all drivers are parked at
-// the barrier, so View reads (machine outputs, halt flags) are quiescent
-// and race-free.
+// Between Run calls and after a run completes, all drivers are parked
+// awaiting the next round, so View reads (machine outputs, halt flags)
+// are quiescent and race-free.
 type Cluster struct {
 	g        *graph.Graph
 	name     string
 	fabric   *Fabric
-	barrier  *Barrier
+	ledger   *sim.Ledger
 	drivers  []*driver
 	rngs     []rng.RNG
 	starts   []chan startMsg
@@ -128,15 +128,11 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 	}
 
 	n := g.N()
-	budget := cfg.CongestBits
-	if budget <= 0 {
-		budget = sim.DefaultCongestBits(n)
-	}
 	c := &Cluster{
 		g:        g,
 		name:     tr.Name(),
 		fabric:   fabric,
-		barrier:  NewBarrier(g, budget),
+		ledger:   sim.NewLedger(n, cfg.CongestBits),
 		drivers:  make([]*driver, n),
 		rngs:     make([]rng.RNG, n),
 		starts:   make([]chan startMsg, n),
@@ -149,6 +145,7 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 			obs.TransportRoundSeconds, obs.TransportRoundSecondsBounds, "backend", c.name)
 	}
 	met := newWireMetrics(c.name)
+	budget := c.ledger.Metrics().CongestBits
 	root := rng.New(cfg.Seed)
 	for v := 0; v < n; v++ {
 		deg := g.Degree(v)
@@ -173,7 +170,7 @@ func NewCluster(ctx context.Context, cfg Config, factory sim.Factory, codec sim.
 		c.Close()
 		return nil, err
 	}
-	c.barrier.FinishRound(false, c.reps)
+	FoldRound(c.ledger, g, false, c.reps)
 	return c, nil
 }
 
@@ -197,10 +194,10 @@ func (c *Cluster) gather() error {
 	return nil
 }
 
-// step releases one round to every driver and folds the reports at the
-// barrier, mirroring sim.Network.Step's executed-round path.
+// step releases one round to every driver and folds the reports into the
+// ledger, mirroring sim.Network.Step's executed-round path.
 func (c *Cluster) step() error {
-	round := c.barrier.Round()
+	round := c.ledger.Round()
 	var began time.Time
 	if c.roundHist != nil {
 		began = time.Now()
@@ -211,12 +208,12 @@ func (c *Cluster) step() error {
 	if err := c.gather(); err != nil {
 		return err
 	}
-	c.barrier.FinishRound(true, c.reps)
+	FoldRound(c.ledger, c.g, true, c.reps)
 	if c.roundHist != nil {
 		c.roundHist.Observe(time.Since(began).Seconds())
 	}
 	if c.observer != nil {
-		c.observer(sim.RoundInfo{Round: round, Halted: c.barrier.HaltedCount(), Metrics: c.barrier.Metrics()})
+		c.observer(sim.RoundInfo{Round: round, Halted: c.ledger.HaltedCount(), Metrics: c.ledger.Metrics()})
 	}
 	return nil
 }
@@ -232,7 +229,7 @@ func (c *Cluster) RunContext(ctx context.Context, rounds int) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return executed, err
 		}
-		if c.barrier.ShouldStop() {
+		if c.ledger.Done() {
 			break
 		}
 		if err := c.step(); err != nil {
@@ -254,7 +251,7 @@ func (c *Cluster) RunUntilContext(ctx context.Context, maxRounds int, done func(
 		if err := ctx.Err(); err != nil {
 			return executed, err
 		}
-		if c.barrier.ShouldStop() {
+		if c.ledger.Done() {
 			break
 		}
 		if err := c.step(); err != nil {
@@ -278,19 +275,19 @@ func (c *Cluster) Graph() *graph.Graph { return c.g }
 // (between Run calls or after one returns).
 func (c *Cluster) Machine(v int) sim.Machine { return c.drivers[v].stephr.Machine() }
 
-// Halted implements sim.View, reading the barrier's (coordinator-owned)
+// Halted implements sim.View, reading the ledger's (coordinator-owned)
 // halt latch.
-func (c *Cluster) Halted(v int) bool { return c.barrier.Halted(v) }
+func (c *Cluster) Halted(v int) bool { return c.ledger.Halted(v) }
 
 // Crashed implements sim.View; the transport backend has no crash
 // adversary.
 func (c *Cluster) Crashed(v int) bool { return false }
 
 // AllHalted implements Runtime.
-func (c *Cluster) AllHalted() bool { return c.barrier.AllHalted() }
+func (c *Cluster) AllHalted() bool { return c.ledger.AllHalted() }
 
 // Metrics implements Runtime.
-func (c *Cluster) Metrics() sim.Metrics { return c.barrier.Metrics() }
+func (c *Cluster) Metrics() sim.Metrics { return c.ledger.Metrics() }
 
 // Backend names the fabric implementation ("chan", "pipe", "tcp").
 func (c *Cluster) Backend() string { return c.name }
@@ -305,7 +302,7 @@ func (c *Cluster) Close() {
 		close(ch)
 	}
 	// Closing the fabric unblocks any driver still inside a failed round;
-	// drivers parked at the barrier exit on the closed start channels.
+	// drivers parked between rounds exit on the closed start channels.
 	c.fabric.Close()
 	c.wg.Wait()
 }

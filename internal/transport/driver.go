@@ -128,14 +128,6 @@ func (q *portQueue) pop(round int, dst []sim.Packet) []sim.Packet {
 	return dst
 }
 
-// portLoad is a driver's per-round (port, channel) bit load, the local
-// half of the simulator's link-slot accounting.
-type portLoad struct {
-	port    int
-	channel uint32
-	bits    int
-}
-
 // driver owns one node of a cluster: the machine (behind a sim.Stepper),
 // the node's link endpoints, and the per-port receive queues. It runs the
 // synchronizer discipline — step, send, mark every port, report, park —
@@ -146,7 +138,6 @@ type driver struct {
 	codec  sim.WireCodec
 	links  []Link
 	in     []*portQueue
-	budget int // CONGEST bits per link slot
 	met    *wireMetrics
 
 	// halted is read by the reader goroutines to discard data addressed
@@ -155,18 +146,23 @@ type driver struct {
 
 	inbox  []sim.Packet
 	encBuf []byte
-	loads  []portLoad
+	meter  sim.LinkMeter
+	// perPort backs every Report.PerPort this driver sends. Reusing it is
+	// safe: the coordinator folds round t before it releases round t+1,
+	// and the driver writes the buffer again only after that release.
+	perPort []uint32
 }
 
 func newDriver(node int, st *sim.Stepper, codec sim.WireCodec, links []Link, budget int, met *wireMetrics) *driver {
 	d := &driver{
-		node:   node,
-		stephr: st,
-		codec:  codec,
-		links:  links,
-		in:     make([]*portQueue, len(links)),
-		budget: budget,
-		met:    met,
+		node:    node,
+		stephr:  st,
+		codec:   codec,
+		links:   links,
+		in:      make([]*portQueue, len(links)),
+		met:     met,
+		meter:   sim.NewLinkMeter(len(links), budget),
+		perPort: make([]uint32, len(links)),
 	}
 	for p := range d.in {
 		d.in[p] = newPortQueue()
@@ -272,14 +268,14 @@ func (d *driver) collect(round int) ([]sim.Packet, error) {
 
 // flush writes the round's sends as data frames, marks every port with
 // EOR (or the final PortClosed when the machine halted this round), and
-// builds the round report: per-port send counts for the barrier's
-// in-flight accounting plus this node's half of the CONGEST cost metering.
+// builds the round report: per-port send counts for the ledger's
+// in-flight accounting plus this node's LinkMeter charge.
 func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 	rep := Report{Node: d.node}
-	d.loads = d.loads[:0]
 	var perPort []uint32
 	if len(sends) > 0 {
-		perPort = make([]uint32, len(d.links))
+		perPort = d.perPort
+		clear(perPort)
 	}
 	for _, s := range sends {
 		buf, err := d.codec.AppendPayload(d.encBuf[:0], s.Payload)
@@ -297,10 +293,10 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 		rep.Msgs++
 		bits := s.Payload.Bits()
 		rep.Bits += int64(bits)
-		d.addLoad(s.Port, s.Channel, bits)
+		d.meter.Add(s.Port, s.Channel, bits)
 	}
 	rep.PerPort = perPort
-	rep.MaxSlots, rep.MaxChannels = d.slotCharge()
+	rep.MaxSlots, rep.MaxChannels = d.meter.Charge()
 	marker := FrameEOR
 	if d.stephr.Halted() {
 		marker = FramePortClosed
@@ -317,58 +313,6 @@ func (d *driver) flush(round int, sends []sim.Send) (Report, error) {
 		d.met.framesTx.Inc()
 	}
 	return rep, nil
-}
-
-// addLoad merges bits into the (port, channel) load. Linear scan: a node
-// sends a handful of packets per round.
-func (d *driver) addLoad(port int, channel uint32, bits int) {
-	for i := range d.loads {
-		if d.loads[i].port == port && d.loads[i].channel == channel {
-			d.loads[i].bits += bits
-			return
-		}
-	}
-	d.loads = append(d.loads, portLoad{port: port, channel: channel, bits: bits})
-}
-
-// slotCharge folds the round's loads into the node's maxima over outgoing
-// links: slots = Σ per distinct channel of ceil(bits/budget) (min 1), the
-// same charge sim.Network.finishRoundAccounting computes per directed
-// edge. Each node owns its outgoing edges, so the coordinator's max over
-// node reports equals the simulator's max over edges.
-func (d *driver) slotCharge() (maxSlots, maxChannels int) {
-	for i := range d.loads {
-		p := d.loads[i].port
-		seen := false
-		for j := 0; j < i; j++ {
-			if d.loads[j].port == p {
-				seen = true
-				break
-			}
-		}
-		if seen {
-			continue
-		}
-		slots, channels := 0, 0
-		for j := i; j < len(d.loads); j++ {
-			if d.loads[j].port != p {
-				continue
-			}
-			s := (d.loads[j].bits + d.budget - 1) / d.budget
-			if s < 1 {
-				s = 1
-			}
-			slots += s
-			channels++
-		}
-		if slots > maxSlots {
-			maxSlots = slots
-		}
-		if channels > maxChannels {
-			maxChannels = channels
-		}
-	}
-	return maxSlots, maxChannels
 }
 
 // closeLinks tears down the driver's link endpoints (idempotent).

@@ -11,11 +11,14 @@
 //     sockets established through a seed-derived anonymous handshake).
 //   - A driver owns one node: it pumps a sim.Stepper — the same machine
 //     code the simulator runs — delivering packets that arrived over the
-//     wire and flushing the machine's sends as framed messages.
-//   - The Barrier replicates the simulator's round accounting exactly
-//     (halt latching, in-flight packet counting in node order, CONGEST
-//     slot charging), so a Cluster is bit-compatible with sim.Network:
-//     same seed, same leader, same round count, same cost metrics.
+//     wire, flushing the machine's sends as framed messages, and metering
+//     them with a sim.LinkMeter into a per-round Report.
+//   - The coordinator (Cluster in-process, cmd/ledist across processes)
+//     folds the round's Reports into a sim.Ledger with FoldRound. The
+//     ledger is the simulator's own: the same halt latch, in-flight count
+//     in node order, stop rule and CONGEST slot charge, so a Cluster is
+//     bit-compatible with sim.Network: same seed, same leader, same round
+//     count, same cost metrics.
 //
 // Synchrony is the synchronizer-α discipline: a node's sends for round t
 // are followed by an end-of-round marker on every link, and no node steps

@@ -13,7 +13,6 @@ import (
 // path every protocol (and every Elect* wrapper) goes through.
 type options struct {
 	seed      uint64
-	parallel  bool
 	scheduler Scheduler
 	transport Transport
 	adversary *AdversarySpec
@@ -46,15 +45,8 @@ func WithSeed(seed uint64) Option {
 	return func(o *options) { o.seed = seed }
 }
 
-// WithParallel runs node steps on a goroutine worker pool, a shorthand
-// for WithScheduler(WorkerPool). Results are bit-identical to the
-// sequential scheduler.
-func WithParallel(parallel bool) Option {
-	return func(o *options) { o.parallel = parallel }
-}
-
-// WithScheduler selects the execution engine (Sequential, WorkerPool or
-// Actors). All engines produce bit-identical results; the choice is a
+// WithScheduler selects the execution engine (Sequential or WorkerPool).
+// All engines produce bit-identical results; the choice is a
 // throughput knob. Default Sequential.
 func WithScheduler(s Scheduler) Option {
 	return func(o *options) { o.scheduler = s }
@@ -66,7 +58,7 @@ type Transport int
 const (
 	// TransportSim runs on the in-memory simulator: one process-local
 	// router, no per-node goroutines. The default, and the only backend
-	// that supports WithAdversary and the parallel schedulers.
+	// that supports WithAdversary and the WorkerPool scheduler.
 	TransportSim Transport = iota
 	// TransportChan runs every node as a real message-passing goroutine;
 	// links are in-process channels carrying framed messages.
@@ -164,7 +156,7 @@ func WithObserver(fn func(RoundInfo)) Option {
 // runs: protocols annotate their decision points (candidate draws, leader
 // declarations, revocable choices) through the simulator's tracing hook,
 // and rec receives each as a TraceEvent. rec must be safe for concurrent
-// calls under the parallel schedulers — TraceFunc wrappers around a
+// calls under the WorkerPool scheduler and the transports — TraceFunc wrappers around a
 // mutex-guarded collector are the easy way. Tracing is read-only and
 // opt-in; without this option the protocol-side trace calls are no-ops.
 func WithTrace(rec TraceRecorder) Option {

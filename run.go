@@ -220,7 +220,6 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		net := sim.New(sim.Config{
 			Graph:     nw.g,
 			Seed:      o.seed,
-			Parallel:  o.parallel,
 			Scheduler: o.scheduler.toSim(),
 			Adversary: adv,
 			Observer:  observer,

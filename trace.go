@@ -22,8 +22,8 @@ type TraceEvent struct {
 }
 
 // TraceRecorder receives protocol trace events. Implementations must be
-// safe for concurrent RecordTrace calls: the parallel schedulers emit
-// from worker goroutines.
+// safe for concurrent RecordTrace calls: the WorkerPool scheduler and the
+// transports emit from per-node goroutines.
 type TraceRecorder interface {
 	RecordTrace(TraceEvent)
 }

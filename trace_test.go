@@ -34,7 +34,7 @@ func (c *collectingRecorder) byKind() map[string]int {
 // leader annotations, identically across schedulers, and tracing must not
 // perturb the election itself.
 func TestWithTraceStreamsProtocolEvents(t *testing.T) {
-	for _, s := range []Scheduler{Sequential, WorkerPool, Actors} {
+	for _, s := range []Scheduler{Sequential, WorkerPool} {
 		nw, err := NewNetwork("expander", 24, 3)
 		if err != nil {
 			t.Fatal(err)
