@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race perfbench-test bench faults-smoke epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact benchdiff report baseline sweep-dist series-report lint fmt ci clean
+.PHONY: all build test race perfbench-test bench faults-smoke epochs-smoke scaling-smoke obs-smoke dist-demo bench-artifact gate report baseline sweep-dist series-report lint fmt ci clean
 
 all: build
 
@@ -82,18 +82,20 @@ dist-demo:
 
 # The regression-gate sweep: every artifact cell (Table 1 + the X4
 # knowledge ablation + the fault-injection resilience curves) at the
-# promoted -quick defaults, written as a schema-v3 artifact. Deterministic
+# promoted -quick defaults, written as a current-schema artifact. Deterministic
 # for a fixed -seed regardless of worker/shard count, so the same command
 # regenerates the same cells on any machine.
 bench-artifact:
 	$(GO) run ./cmd/lebench -exp sweeps -quick -parallel -json BENCH_harness.json
 
-# Diff the freshly-swept artifact against the committed baseline and fail
-# on any variance-adjusted regression — or on baseline cells missing from
-# the head sweep, so shrinking the sweep can't hide one (what CI's
-# bench-gate job runs).
-benchdiff: bench-artifact
-	$(GO) run ./cmd/benchdiff -base testdata/BENCH_baseline.json -head BENCH_harness.json -fail-on regressed,removed
+# Gate the freshly-swept artifact against the committed baseline: the
+# two-point series baseline → head, failing on any variance-adjusted
+# regression or on baseline cells missing from the head sweep, so
+# shrinking the sweep can't hide one. lereport.md holds the head's report
+# plus the verdicts (what CI's bench-gate job runs and summarizes).
+gate: bench-artifact
+	$(GO) run ./cmd/lereport -fail-on regressed,removed -out lereport.md \
+		testdata/BENCH_baseline.json BENCH_harness.json
 
 # Render the paper-style reproduction report from a fresh gate sweep
 # (see README "Reading the results"). REPORT.md is a local artifact; the
@@ -122,14 +124,15 @@ sweep-dist:
 
 # Cross-PR trend report: render the newest artifact plus the trajectory
 # section over the archived series (oldest first — zero-padded run-id file
-# names sort chronologically), failing on any net regressing trend. With
-# fewer than two artifacts there is no trajectory and the gate no-ops.
-# CI's series-gate job downloads prior bench-gate artifacts into
-# $(SERIES_DIR) and runs this.
+# names sort chronologically), failing on any net regression between the
+# oldest archived point and the head sweep. With no archived artifacts
+# there is no trajectory and the gate no-ops. CI's bench-gate job
+# downloads prior bench-gate artifacts into $(SERIES_DIR) and runs this
+# after `make gate`.
 SERIES_DIR ?= series
 series-report:
 	$(GO) run ./cmd/lereport -title "Reproduction report (cross-PR series)" \
-		-fail-on regressing \
+		-fail-on regressed \
 		$(sort $(wildcard $(SERIES_DIR)/*.json)) BENCH_harness.json
 
 lint:
@@ -144,7 +147,7 @@ fmt:
 ci: build lint test race perfbench-test bench
 
 clean:
-	rm -f BENCH_harness.json BENCH_scaling.json BENCH_dist.json BENCH_local.json REPORT.md
+	rm -f BENCH_harness.json BENCH_scaling.json BENCH_dist.json BENCH_local.json REPORT.md lereport.md
 	rm -f BENCH_epochs.json
 	rm -f BENCH_obs.json TRACE_lebench.json OBS_metrics.json CPU_lebench.pprof REPORT_obs.md
 	rm -f DIST_demo.json

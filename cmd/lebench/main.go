@@ -22,14 +22,14 @@
 // (internal/adversary): fault rate × protocol × graph family for message
 // loss, crash-stop schedules, link churn, and delivery jitter, each as a
 // degradation curve anchored at the fault-free cell. Fault-injected cells
-// carry their adversary descriptor in the schema-v3 artifact, so benchdiff
+// carry their adversary descriptor in the artifact, so the lereport gate
 // aligns and gates them like any other cell.
 //
 // -exp sweeps runs exactly the sweep-based experiments (Table 1, the X4
 // knowledge ablation, and the fault-injection curves) — every cell that
 // lands in the JSON artifact — and is what CI's bench-gate job executes
-// before diffing the artifact against testdata/BENCH_baseline.json with
-// cmd/benchdiff.
+// before gating the artifact against testdata/BENCH_baseline.json with
+// cmd/lereport (make gate).
 //
 // -exp epochs runs the repeated-election scenarios (anonlead.RunEpochs
 // through the harness): seed-chained epochs of elect → lead → leader
@@ -51,7 +51,7 @@
 // (dense matrices, the committed baselines), estimate (streaming, scales
 // past dense sizes), or auto (the default: exact up to n = 256, estimate
 // above). The resolved regime is part of each cell's identity in the
-// schema-v5 artifact, so a regime switch diffs as added/removed cells.
+// artifact, so the gate sees a regime switch as removed/partial cells.
 //
 // With -parallel, the sweep-based experiments (table1, knowledge, faults)
 // fan their cells and per-cell trials out over a bounded worker pool;

@@ -1,29 +1,42 @@
 // Command lereport renders a bench artifact (or an ordered series of
-// them) as a paper-style reproduction report: Table-1-shaped measured vs
-// predicted tables per protocol×family, the Dieudonné–Pelc knowledge
-// ablation, fault-degradation ladders anchored at their fault-free
-// cells, repeated-election epoch scenario tables (amortized per-epoch
-// cost and recovery time), Wilson success intervals throughout, and —
-// given two or more
-// artifacts — per-metric trend classification (improving/flat/
-// regressing) across the series using the trajectory package's
-// variance-aware Welch gates.
+// them) as a paper-style reproduction report and, given two or more, is
+// the repository's regression gate. The report has Table-1-shaped
+// measured vs predicted tables per protocol×family, the Dieudonné–Pelc
+// knowledge ablation, fault-degradation ladders anchored at their
+// fault-free cells, repeated-election epoch scenario tables (amortized
+// per-epoch cost and recovery time), and Wilson success intervals
+// throughout.
 //
 // Usage:
 //
 //	lereport BENCH_harness.json                      # report on stdout
 //	lereport -out REPORT.md BENCH_harness.json       # write to a file
 //	lereport -format csv BENCH_harness.json          # tidy per-(cell,metric) rows
-//	lereport old.json mid.json new.json              # series: newest reported + trends
-//	lereport -rel-tol 0.1 -sigmas 2 a.json b.json    # looser trend thresholds
-//	lereport -fail-on regressing a.json b.json       # exit 1 when a net trend regresses
+//	lereport old.json mid.json new.json              # series: newest reported + trajectory
+//	lereport -rel-tol 0.1 -sigmas 2 a.json b.json    # looser cost thresholds
+//	lereport -fail-on regressed,removed testdata/BENCH_baseline.json BENCH_harness.json
 //
 // Arguments are artifact files in chronological order, oldest first. With
-// one artifact the report has no trend section; with two or more, the
-// report describes the newest artifact and appends the trajectory
-// section (cells must be present at every series point to be classified;
-// the rest are listed as partial). v1 through v6 artifact schemas are all
-// accepted, with v1 cells classifying on the relative tolerance alone.
+// one artifact the report has no trajectory section. With two or more the
+// report describes the newest artifact and appends the trajectory: cells
+// align by (protocol, family, n, presumed_n, adversary, profile mode,
+// scenario), duplicates pair by occurrence, and every metric of a cell
+// present at every point is classified improved/unchanged/regressed
+// between the endpoints. A cost change must clear both -rel-tol and
+// -sigmas Welch standard errors; the success rate compares by
+// Wilson-interval disjointness; the measured/predicted ratios
+// (msgs_vs_pred, time_vs_pred) are flagged drifted when they move more
+// than 25% relative to the oldest point. A two-point series is the
+// base-versus-head gate CI runs (make gate). Only the current artifact
+// schema is readable; older files fail with a "regenerate" error.
+//
+// -fail-on takes a comma-separated list of exit-1 conditions: "regressed"
+// when any net verdict regressed, "removed" when a cell occurrence of the
+// oldest point is missing from the newest (without it a change could pass
+// by deleting the cells where a regression lives; against a partial
+// newest point, a distributed-sweep worker's file, it stays a warning),
+// and "drift" when any ratio drifted. With a single artifact there is no
+// trajectory and the gate no-ops.
 //
 // -phases FILE appends a phase-breakdown table (phase | spans | total |
 // mean | share) rendered from an obs metrics snapshot — the -metrics-out
@@ -34,8 +47,6 @@
 // Output is byte-deterministic for the same inputs — the committed
 // testdata/REPORT_baseline.md is the golden render of
 // testdata/BENCH_baseline.json (refresh both together: make baseline).
-// CI renders the head sweep's report into the job summary and archives
-// it per run.
 package main
 
 import (
@@ -43,6 +54,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"anonlead/internal/harness"
 	"anonlead/internal/obs"
@@ -62,17 +74,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		format  = fs.String("format", "md", "output format: md (paper-style markdown) or csv (one row per cell metric)")
 		outPath = fs.String("out", "", "write the report here instead of stdout")
 		title   = fs.String("title", "", "report title (default \"Reproduction report\")")
-		relTol  = fs.Float64("rel-tol", 0, "series trend: minimum relative effect to call a change (0 = default 0.05)")
-		sigmas  = fs.Float64("sigmas", 0, "series trend: minimum effect in Welch standard errors (0 = default 3)")
-		failOn  = fs.String("fail-on", "none", "exit-1 condition: none, or regressing (any net metric trend regresses; needs a series)")
+		relTol  = fs.Float64("rel-tol", 0, "series: minimum relative cost effect to call a change (0 = default 0.05)")
+		sigmas  = fs.Float64("sigmas", 0, "series: minimum cost effect in Welch standard errors (0 = default 3)")
+		failOn  = fs.String("fail-on", "none", "comma-separated exit-1 conditions (need a series): none, regressed, removed, drift")
 		phases  = fs.String("phases", "", "append a phase-breakdown table from this obs metrics snapshot (the -metrics-out file of lebench/lesweep; md format only)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: lereport [flags] artifact.json [older.json ... newest.json]\n\n"+
 			"Renders a paper-style reproduction report from one bench artifact, or from an\n"+
-			"ordered series (oldest first): the newest artifact is reported and a per-metric\n"+
-			"trend section (improving/flat/regressing) is appended.\n\nFlags:\n")
+			"ordered series (oldest first): the newest artifact is reported and a trajectory\n"+
+			"section is appended. Every metric of every aligned cell is classified improved/\n"+
+			"unchanged/regressed between the endpoints: a cost change must clear both -rel-tol\n"+
+			"and -sigmas Welch standard errors, success rates compare by Wilson-interval\n"+
+			"disjointness, and the measured/predicted ratios (msgs_vs_pred, time_vs_pred) are\n"+
+			"flagged drifted past 25%%. -fail-on turns verdicts into exit status 1; the CI gate\n"+
+			"runs \"regressed,removed\" on the baseline and the head sweep.\n\nFlags:\n")
 		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nExamples:\n"+
+			"  lereport -out REPORT.md BENCH_harness.json\n"+
+			"  lereport -fail-on regressed,removed testdata/BENCH_baseline.json BENCH_harness.json\n"+
+			"  lereport -format csv old.json mid.json newest.json > cells.csv\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -87,9 +108,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lereport: unknown -format %q (want md or csv)\n", *format)
 		return 2
 	}
-	if *failOn != "none" && *failOn != "regressing" {
-		fmt.Fprintf(stderr, "lereport: unknown -fail-on condition %q (want none or regressing)\n", *failOn)
-		return 2
+	failRegressed, failRemoved, failDrift := false, false, false
+	for _, cond := range strings.Split(*failOn, ",") {
+		switch strings.TrimSpace(cond) {
+		case "none", "":
+		case "regressed":
+			failRegressed = true
+		case "removed":
+			failRemoved = true
+		case "drift":
+			failDrift = true
+		default:
+			fmt.Fprintf(stderr, "lereport: unknown -fail-on condition %q (want none, regressed, removed, drift)\n", cond)
+			return 2
+		}
 	}
 	opts := report.Options{
 		Title: *title,
@@ -145,11 +177,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprint(stdout, out)
 	}
-	// The trend gate: a single artifact has no trajectory (rep.Trends is
-	// nil), so the series-gate CI job no-ops gracefully until enough
-	// archived artifacts accumulate.
-	if *failOn == "regressing" && rep.Trends != nil && rep.Trends.HasRegressions() {
-		fmt.Fprintf(stderr, "lereport: %d metric trend(s) regressing across the series\n", rep.Trends.Regressing)
+	// The gate: a single artifact has no trajectory (rep.Trends is nil),
+	// so there is nothing to fail on.
+	t := rep.Trends
+	if t == nil {
+		return 0
+	}
+	failed := false
+	if failRegressed && t.HasRegressions() {
+		fmt.Fprintf(stderr, "lereport: %d metric(s) regressed\n", t.Regressed)
+		failed = true
+	}
+	if failRemoved && len(t.Removed) > 0 {
+		if t.NewestPartial {
+			// A partial newest point is a distributed-sweep worker's
+			// artifact: cells it lacks were never assigned to it, so
+			// failing would punish sharding, not a shrunk sweep.
+			fmt.Fprintf(stderr, "lereport: %d cell(s) missing from the newest artifact, but it is a partial artifact — removed gate downgraded to a warning\n",
+				len(t.Removed))
+		} else {
+			fmt.Fprintf(stderr, "lereport: %d cell(s) missing from the newest artifact (refresh the baseline if intentional)\n",
+				len(t.Removed))
+			failed = true
+		}
+	}
+	if failDrift && t.HasDrift() {
+		fmt.Fprintf(stderr, "lereport: %d measured/predicted ratio(s) drifted beyond tolerance\n", t.Drifted)
+		failed = true
+	}
+	if failed {
 		return 1
 	}
 	return 0

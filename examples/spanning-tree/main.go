@@ -2,11 +2,11 @@
 //
 // The paper notes (Section 3) that once implicit leader election succeeds,
 // explicit election, broadcast, and tree construction follow at an extra
-// O(m) messages and O(D) time. This example runs ElectExplicit on a torus:
-// the implicit Section 4 protocol elects, then the leader's announcement
-// flood teaches every node the leader's ID and leaves each node with a
-// parent pointer one hop closer to the leader — a BFS spanning tree ready
-// for aggregation or scheduling duties. The tree arrives as the explicit
+// O(m) messages and O(D) time. This example runs the explicit protocol on
+// a torus: the implicit Section 4 protocol elects, then the leader's
+// announcement flood teaches every node the leader's ID and leaves each
+// node with a parent pointer one hop closer to the leader — a BFS
+// spanning tree ready for aggregation or scheduling duties. The tree arrives as the explicit
 // protocol's per-protocol extras on the unified Run outcome.
 //
 //	go run ./examples/spanning-tree

@@ -13,7 +13,8 @@ import (
 )
 
 // ArtifactSchema identifies the BENCH_harness.json format version. Bump it
-// when the cell layout changes so trajectory tooling can tell formats apart.
+// when the cell layout changes; ReadArtifact accepts only the current
+// version, so older files must be regenerated.
 //
 // v6 keeps every v5 field and adds the optional per-cell epoch scenario
 // identity and aggregates: the scenario descriptor ("epochs=5,fault=crash")
@@ -22,31 +23,6 @@ import (
 // on classic single-election cells, so a sweep without epoch scenarios
 // serializes byte-identically to v5 apart from the schema string.
 const ArtifactSchema = "anonlead/bench-harness/v6"
-
-// ArtifactSchemaV5 is the previous format: v4 plus the optional per-cell
-// round_profile histograms. Still readable; its cells simply carry no
-// epoch scenarios.
-const ArtifactSchemaV5 = "anonlead/bench-harness/v5"
-
-// ArtifactSchemaV4 is the previous format: v3 plus the resolved profile
-// regime in each cell's identity ("estimate" for the streaming
-// estimators; omitted for exact). Still readable; its cells simply carry
-// no round profiles.
-const ArtifactSchemaV4 = "anonlead/bench-harness/v4"
-
-// ArtifactSchemaV3 is the previous format: v2 plus adversary cell identity
-// (descriptor, dropped/crashed aggregates), without profile regimes. Still
-// readable; its cells align as exact-regime.
-const ArtifactSchemaV3 = "anonlead/bench-harness/v3"
-
-// ArtifactSchemaV2 is the previous format: v1 plus per-metric
-// distributions and the Wilson success interval, without adversary cell
-// identity. Still readable; its cells align as fault-free.
-const ArtifactSchemaV2 = "anonlead/bench-harness/v2"
-
-// ArtifactSchemaV1 is the legacy means-only format. benchdiff still reads
-// it, downgrading to a means-only comparison.
-const ArtifactSchemaV1 = "anonlead/bench-harness/v1"
 
 // ArtifactName is the conventional file name CI uploads for cross-PR perf
 // trajectory tracking.
@@ -74,7 +50,8 @@ func newArtifactDist(d stats.Dist) *ArtifactDist {
 }
 
 // Dist converts back to the stats shape, rehydrating N and Mean from the
-// cell's flat fields (what benchdiff feeds into variance-aware thresholds).
+// cell's flat fields (what the trajectory gate feeds into variance-aware
+// thresholds). A nil dist rehydrates to zero spread.
 func (d *ArtifactDist) Dist(trials int, mean float64) stats.Dist {
 	if d == nil {
 		return stats.Dist{N: trials, Mean: mean}
@@ -87,8 +64,7 @@ func (d *ArtifactDist) Dist(trials int, mean float64) stats.Dist {
 
 // ArtifactCell is one sweep cell in the machine-readable artifact: the
 // measured aggregate plus the graph profile and the paper's predicted
-// complexities for that cell. The *_dist objects and the success-rate
-// interval are schema v2 additions; they are nil/absent in v1 artifacts.
+// complexities for that cell.
 type ArtifactCell struct {
 	Protocol    string  `json:"protocol"`
 	Family      string  `json:"family"`
@@ -149,13 +125,6 @@ type ArtifactCell struct {
 
 	PredictedMsgs float64 `json:"predicted_msgs"`
 	PredictedTime float64 `json:"predicted_time"`
-}
-
-// HasDists reports whether the cell carries the v2 distribution objects
-// (a v1 artifact decoded into this struct does not).
-func (c ArtifactCell) HasDists() bool {
-	return c.MessagesDist != nil && c.BitsDist != nil &&
-		c.RoundsDist != nil && c.ChargedDist != nil
 }
 
 // Artifact is the BENCH_harness.json payload: one orchestrated sweep in a
@@ -292,23 +261,20 @@ func (a Artifact) WriteFile(path string) error {
 	return nil
 }
 
-// ReadArtifact decodes a bench artifact, accepting the current v6 schema
-// plus the legacy v5 (no epoch scenarios), v4 (no round profiles), v3 (no
-// profile regimes), v2 (no adversary cell identity) and v1 (means only).
-// Unknown schemas are rejected so trajectory tooling fails loudly on
-// foreign files rather than comparing garbage.
+// ReadArtifact decodes a bench artifact of the current schema. Any other
+// schema, older versions included, is rejected so trajectory tooling fails
+// loudly rather than comparing cells of a different layout.
 func ReadArtifact(buf []byte) (Artifact, error) {
 	var a Artifact
 	if err := json.Unmarshal(buf, &a); err != nil {
 		return Artifact{}, fmt.Errorf("harness: decode artifact: %w", err)
 	}
-	switch a.Schema {
-	case ArtifactSchema, ArtifactSchemaV5, ArtifactSchemaV4, ArtifactSchemaV3, ArtifactSchemaV2, ArtifactSchemaV1:
-		return a, nil
-	default:
-		return Artifact{}, fmt.Errorf("harness: unknown artifact schema %q (want %s, %s, %s, %s, %s, or %s)",
-			a.Schema, ArtifactSchema, ArtifactSchemaV5, ArtifactSchemaV4, ArtifactSchemaV3, ArtifactSchemaV2, ArtifactSchemaV1)
+	if a.Schema != ArtifactSchema {
+		return Artifact{}, fmt.Errorf("harness: artifact schema %q is not the readable %s; "+
+			"regenerate the artifact (make bench-artifact, or make baseline for the committed baseline)",
+			a.Schema, ArtifactSchema)
 	}
+	return a, nil
 }
 
 // ReadArtifactFile reads and decodes a bench artifact from disk.

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// FuzzReadArtifact hardens the v1–v6 artifact reader against arbitrary
-// input: malformed bytes must come back as errors (never panics), and any
-// accepted artifact must carry a known schema and normalize to a JSON
+// FuzzReadArtifact hardens the artifact reader against arbitrary input:
+// malformed bytes and foreign or older schemas must come back as errors
+// (never panics), and any accepted artifact must carry the current schema
+// and normalize to a JSON
 // encoding that is a fixed point of another decode/encode pass — the
 // byte-stability every golden test and the distributed-sweep cmp gate
 // lean on.
@@ -29,7 +30,7 @@ func FuzzReadArtifact(f *testing.F) {
 	// A partial artifact (a distributed-sweep worker's output) with its
 	// plan coverage header.
 	partial := Artifact{
-		Schema: ArtifactSchemaV5, RootSeed: 7, Workers: 2, Shards: 2,
+		Schema: ArtifactSchema, RootSeed: 7, Workers: 2, Shards: 2,
 		Plan: &ArtifactPlan{Total: 4, Indices: []int{1, 3}},
 		Cells: []ArtifactCell{
 			{Protocol: "ire", Family: "expander", N: 16, Trials: 2, Successes: 2},
@@ -41,7 +42,8 @@ func FuzzReadArtifact(f *testing.F) {
 	} else {
 		f.Add(buf)
 	}
-	// Legacy means-only v1, schema-less JSON, foreign schemas, truncations.
+	// An older (v1) schema that must be rejected, schema-less JSON, foreign
+	// schemas, truncations.
 	f.Add([]byte(`{"schema":"anonlead/bench-harness/v1","root_seed":1,"cells":[{"protocol":"ire","family":"cycle","n":8,"messages":12}]}`))
 	f.Add([]byte(`{"schema":"anonlead/bench-harness/v9"}`))
 	f.Add([]byte(`{"cells":[]}`))
@@ -54,11 +56,8 @@ func FuzzReadArtifact(f *testing.F) {
 		if err != nil {
 			return // rejected input: an error is the contract, a panic is the bug
 		}
-		switch a.Schema {
-		case ArtifactSchema, ArtifactSchemaV5, ArtifactSchemaV4,
-			ArtifactSchemaV3, ArtifactSchemaV2, ArtifactSchemaV1:
-		default:
-			t.Fatalf("accepted artifact with unknown schema %q", a.Schema)
+		if a.Schema != ArtifactSchema {
+			t.Fatalf("accepted artifact with schema %q", a.Schema)
 		}
 		_ = a.IsPartial() // must tolerate any decoded plan header
 

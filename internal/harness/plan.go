@@ -151,7 +151,7 @@ func Table1Plan(quick bool, trials int, seed uint64) []PlanSection {
 	// T1-d: the revocable protocol at faithful parameters on tiny complete
 	// graphs (where the Theorem 3 polynomials are simulable). Quick keeps
 	// 6 trials: below that the Wilson intervals of a full success collapse
-	// (k/k -> 0/k) still overlap, so the benchdiff success gate would be
+	// (k/k -> 0/k) still overlap, so the gate's success verdict would be
 	// vacuous on these cells.
 	rt := planTrials(trials, 6)
 	sizes := planPick(quick, []int{3, 4, 6, 8}, []int{3, 4, 6})

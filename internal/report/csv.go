@@ -25,7 +25,7 @@ var csvMetrics = []string{"messages", "bits", "rounds", "charged", "success_rate
 // rows (one per metric), carrying the same derived columns the markdown
 // tables show — predicted-vs-measured ratios on messages/rounds, anchor
 // ratios in the anchored sections, Wilson bounds on the success rate, and
-// (in series mode) the metric's trend verdict. Byte-deterministic.
+// (in series mode) the metric's net verdict across the series. Byte-deterministic.
 func (r Report) CSV() (string, error) {
 	var buf bytes.Buffer
 	w := csv.NewWriter(&buf)
@@ -37,7 +37,7 @@ func (r Report) CSV() (string, error) {
 		for _, m := range csvMetrics {
 			rec := csvRow{section: section, cell: c, metric: m, row: row}
 			if t := r.trendFor(row, m); t != nil {
-				rec.trend = string(t.Trend)
+				rec.trend = string(t.Status)
 			}
 			if err := w.Write(rec.fields()); err != nil {
 				return err

@@ -165,41 +165,44 @@ func (r Report) faultMarkdown(ft FaultTable) string {
 	return b.String()
 }
 
-// trendsMarkdown renders the series trend section.
+// trendsMarkdown renders the series section: headline counts, every
+// metric whose net verdict is not unchanged, and the removed and partial
+// cell lists.
 func (r Report) trendsMarkdown() string {
 	t := r.Trends
 	var b strings.Builder
 	fmt.Fprintf(&b, "## Trajectory — %d artifacts: %s\n\n", len(t.Labels), strings.Join(t.Labels, " → "))
-	if t.MeansOnly {
-		b.WriteString("> ⚠️ at least one series point is a v1 artifact (no distributions): " +
-			"affected cells classify on the relative tolerance alone.\n\n")
+	if t.NewestPartial {
+		b.WriteString("> ℹ️ the newest artifact is a distributed-sweep partial covering less than its " +
+			"planned matrix: cells missing from it were likely never assigned to it, so the " +
+			"removed-cells list is advisory.\n\n")
 	}
-	fmt.Fprintf(&b, "**%d improving · %d flat · %d regressing** metric trends across %d tracked cells.\n\n",
-		t.Improving, t.Flat, t.Regressing, len(t.Cells))
+	fmt.Fprintf(&b, "**%d regressed · %d improved · %d drifted · %d unchanged** metrics across %d tracked cells.\n\n",
+		t.Regressed, t.Improved, t.Drifted, t.Unchanged, len(t.Cells))
 
 	moved := false
 	for _, ct := range t.Cells {
 		for _, mt := range ct.Metrics {
-			if mt.Trend != trajectory.TrendFlat {
+			if mt.Status != trajectory.Unchanged {
 				moved = true
 			}
 		}
 	}
 	if moved {
-		b.WriteString("| cell | metric | trajectory | Δ | trend |\n")
+		b.WriteString("| cell | metric | trajectory | Δ | status |\n")
 		b.WriteString("|---|---|---|---:|---|\n")
 		for _, ct := range t.Cells {
 			for _, mt := range ct.Metrics {
-				if mt.Trend == trajectory.TrendFlat {
+				if mt.Status == trajectory.Unchanged {
 					continue
 				}
 				vals := make([]string, len(mt.Values))
 				for i, v := range mt.Values {
 					vals[i] = num(v)
 				}
-				fmt.Fprintf(&b, "| %s | %s | %s | %+.1f%% | %s %s |\n",
+				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s %s |\n",
 					ct.Key, mt.Metric, strings.Join(vals, " → "),
-					100*mt.RelDelta, trendIcon(mt.Trend), mt.Trend)
+					relDelta(mt), statusIcon(mt.Status), mt.Status)
 			}
 		}
 		b.WriteString("\n")
@@ -207,24 +210,53 @@ func (r Report) trendsMarkdown() string {
 		b.WriteString("No metric moved beyond the thresholds anywhere in the series.\n\n")
 	}
 
-	if len(t.Partial) > 0 {
-		b.WriteString("**Partial cells** (missing from at least one series point, not classified):\n")
-		for _, k := range t.Partial {
+	if len(t.Removed) > 0 {
+		b.WriteString("**Removed cells** (at the oldest point, missing from the newest — a shrunk sweep can hide regressions):\n")
+		for _, k := range t.Removed {
 			fmt.Fprintf(&b, "- %s\n", k)
 		}
 		b.WriteString("\n")
 	}
-	fmt.Fprintf(&b, "Trend thresholds: rel-tol %.3g, sigmas %.3g (endpoint Welch gates; "+
-		"success by Wilson disjointness).\n", t.Thresholds.RelTol, t.Thresholds.Sigmas)
+	removed := make(map[trajectory.Key]bool, len(t.Removed))
+	for _, k := range t.Removed {
+		removed[k] = true
+	}
+	var partial []trajectory.Key
+	for _, k := range t.Partial {
+		if !removed[k] {
+			partial = append(partial, k)
+		}
+	}
+	if len(partial) > 0 {
+		b.WriteString("**Partial cells** (missing from at least one series point, not classified):\n")
+		for _, k := range partial {
+			fmt.Fprintf(&b, "- %s\n", k)
+		}
+		b.WriteString("\n")
+	}
+	fmt.Fprintf(&b, "Thresholds: rel-tol %.3g, sigmas %.3g, drift-tol %.3g (endpoint Welch gates; "+
+		"success by Wilson disjointness).\n", t.Thresholds.RelTol, t.Thresholds.Sigmas, t.Thresholds.DriftTol)
 	return b.String()
 }
 
-func trendIcon(t trajectory.Trend) string {
-	switch t {
-	case trajectory.TrendImproving:
+// relDelta renders a metric's net relative change. A metric appearing
+// from zero has no finite relative change (RelDelta stays 0), and "+0.0%"
+// would contradict its flagged status.
+func relDelta(mt trajectory.MetricTrend) string {
+	if mt.First == 0 && mt.Last != 0 {
+		return "new"
+	}
+	return fmt.Sprintf("%+.1f%%", 100*mt.RelDelta)
+}
+
+func statusIcon(s trajectory.Status) string {
+	switch s {
+	case trajectory.Improved:
 		return "🟢"
-	case trajectory.TrendRegressing:
+	case trajectory.Regressed:
 		return "🔴"
+	case trajectory.Drifted:
+		return "🟠"
 	default:
 		return "⚪"
 	}

@@ -3,9 +3,9 @@
 // predicted tables per protocol×family, the Dieudonné–Pelc knowledge-
 // ablation comparison, fault-degradation ladders anchored at their
 // fault-free cells, Wilson success intervals everywhere, and — when fed
-// an ordered artifact series — per-metric trend classification
-// (improving/flat/regressing) via the trajectory package's Welch
-// machinery.
+// an ordered artifact series — per-metric classification
+// (improved/unchanged/regressed/drifted) via the trajectory package's
+// Welch machinery.
 //
 // Everything is a pure function of the artifact bytes: section order
 // follows artifact cell order, all numbers render with fixed rules, and
@@ -50,7 +50,8 @@ type Row struct {
 	// trajectory series pairs duplicates.
 	occurrence int
 	// SuccessLo and SuccessHi are the ~95% Wilson bounds of the success
-	// rate, recomputed from successes/trials so v1 cells get them too.
+	// rate, recomputed from successes/trials so cells without stored
+	// bounds get them too.
 	SuccessLo, SuccessHi float64
 	// MsgsVsPred and TimeVsPred are measured/predicted ratios (0 when the
 	// cell carries no usable prediction).
@@ -187,15 +188,6 @@ func identityOf(c harness.ArtifactCell) cellIdentity {
 	return cellIdentity{Protocol: c.Protocol, Family: c.Family, N: c.N, PresumedN: c.PresumedN}
 }
 
-// trajKeyOf is the cell's trajectory alignment key (the adversary-,
-// profile-regime- and scenario-aware identity duplicate occurrences are
-// counted under).
-func trajKeyOf(c harness.ArtifactCell) trajectory.Key {
-	return trajectory.Key{Protocol: c.Protocol, Family: c.Family, N: c.N,
-		PresumedN: c.PresumedN, Adversary: c.Adversary,
-		ProfileMode: c.ProfileMode, Scenario: c.Scenario}
-}
-
 // section reconstructs the sweep structure from the flat cell list, in
 // order: fault ladders (a fault-free cell immediately followed by faulted
 // cells of the same identity, or bare faulted runs), knowledge sweeps
@@ -212,7 +204,7 @@ func (r *Report) section(cells []harness.ArtifactCell) {
 	occSeen := map[trajectory.Key]int{}
 	mkRow := func(c harness.ArtifactCell) Row {
 		row := newRow(c)
-		k := trajKeyOf(c)
+		k := trajectory.KeyOf(c)
 		row.occurrence = occSeen[k]
 		occSeen[k]++
 		return row
@@ -367,7 +359,7 @@ func (r Report) trendFor(row Row, metric string) *trajectory.MetricTrend {
 	if r.Trends == nil {
 		return nil
 	}
-	key, occ := trajKeyOf(row.Cell), 0
+	key, occ := trajectory.KeyOf(row.Cell), 0
 	for i := range r.Trends.Cells {
 		if r.Trends.Cells[i].Key != key {
 			continue

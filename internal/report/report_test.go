@@ -220,7 +220,7 @@ func TestSectioning(t *testing.T) {
 }
 
 // TestSeriesReportTrends: the series constructor appends the trajectory
-// section, classifying the synthetic improve/flat/regress correctly.
+// section, classifying the synthetic improvement correctly.
 func TestSeriesReportTrends(t *testing.T) {
 	mk := func(msgs float64) harness.Artifact {
 		return harness.Artifact{Schema: harness.ArtifactSchema,
@@ -232,14 +232,14 @@ func TestSeriesReportTrends(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewSeries(s, Options{})
-	if r.Trends == nil || r.Trends.Improving == 0 {
+	if r.Trends == nil || r.Trends.Improved == 0 {
 		t.Fatalf("trend section missing or empty: %+v", r.Trends)
 	}
 	md := r.Markdown()
 	for _, want := range []string{
 		"series of 3 artifacts",
 		"## Trajectory — 3 artifacts: pr1 → pr2 → pr3",
-		"improving",
+		"improved",
 		"1000 → 900 → 500",
 		"🟢",
 	} {
@@ -248,12 +248,12 @@ func TestSeriesReportTrends(t *testing.T) {
 		}
 	}
 
-	// The CSV export tags the tracked metric with its trend.
+	// The CSV export tags the tracked metric with its net verdict.
 	out, err := r.CSV()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, ",improving") {
+	if !strings.Contains(out, ",improved") {
 		t.Fatalf("CSV missing trend column:\n%s", out)
 	}
 }
@@ -262,7 +262,7 @@ func TestSeriesReportTrends(t *testing.T) {
 // anchor sharing a key with its Table-1 sibling) carry their OWN
 // occurrence's trend verdict, not the first occurrence's.
 func TestSeriesCSVDuplicateKeyTrends(t *testing.T) {
-	// Occurrence 0 (table1 row) stays flat; occurrence 1 (the ladder
+	// Occurrence 0 (table1 row) stays unchanged; occurrence 1 (the ladder
 	// anchor) regresses 2x between the two artifacts.
 	mk := func(anchorMsgs float64) harness.Artifact {
 		return harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
@@ -294,11 +294,64 @@ func TestSeriesCSVDuplicateKeyTrends(t *testing.T) {
 	if table1 == "" || anchor == "" {
 		t.Fatalf("duplicate-key messages rows missing:\n%s", out)
 	}
-	if !strings.HasSuffix(table1, ",flat") {
-		t.Fatalf("table1 occurrence should be flat: %s", table1)
+	if !strings.HasSuffix(table1, ",unchanged") {
+		t.Fatalf("table1 occurrence should be unchanged: %s", table1)
 	}
-	if !strings.HasSuffix(anchor, ",regressing") {
-		t.Fatalf("ladder anchor should carry its own regressing verdict: %s", anchor)
+	if !strings.HasSuffix(anchor, ",regressed") {
+		t.Fatalf("ladder anchor should carry its own regressed verdict: %s", anchor)
+	}
+}
+
+// TestSeriesMarkdownRendersChanges: the base-versus-head gate's markdown
+// shows the headline counts, one row per moved metric with its status
+// icon, "new" for a metric appearing from zero, the removed cells, and
+// the thresholds.
+func TestSeriesMarkdownRendersChanges(t *testing.T) {
+	ire := func(msgs float64) harness.ArtifactCell { return synthCell("ire", "expander", 64, msgs) }
+	flood := func(msgs float64) harness.ArtifactCell { return synthCell("flood", "complete", 32, msgs) }
+	cycle := func(msgs float64) harness.ArtifactCell { return synthCell("ire", "cycle", 16, msgs) }
+	gone := synthCell("walknotify", "cycle", 16, 300)
+	base := harness.Artifact{Schema: harness.ArtifactSchema,
+		Cells: []harness.ArtifactCell{ire(1000), flood(400), gone, cycle(0)}}
+	head := harness.Artifact{Schema: harness.ArtifactSchema,
+		Cells: []harness.ArtifactCell{ire(2000), flood(200), cycle(50)}}
+	s, err := trajectory.NewSeries([]harness.Artifact{base, head}, []string{"base", "head"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := NewSeries(s, Options{}).Markdown()
+	for _, want := range []string{
+		"## Trajectory — 2 artifacts: base → head",
+		"**4 regressed · 2 improved · 0 drifted",
+		"| ire expander/64 | messages | 1000 → 2000 | +100.0% | 🔴 regressed |",
+		"| flood complete/32 | bits | 800 → 400 | -50.0% | 🟢 improved |",
+		"| ire cycle/16 | messages | 0 → 50 | new | 🔴 regressed |",
+		"**Removed cells**", "- walknotify cycle/16",
+		"rel-tol 0.05, sigmas 3, drift-tol 0.25",
+	} {
+		if !strings.Contains(md, want) {
+			t.Fatalf("two-point markdown missing %q:\n%s", want, md)
+		}
+	}
+	if strings.Contains(md, "**Partial cells**") {
+		t.Fatalf("removed cell listed again as partial:\n%s", md)
+	}
+}
+
+// TestSeriesMarkdownAllUnchanged: an all-clear pair says so instead of
+// rendering an empty table.
+func TestSeriesMarkdownAllUnchanged(t *testing.T) {
+	head := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{
+		synthCell("ire", "expander", 64, 2000),
+		synthCell("flood", "complete", 32, 200),
+		synthCell("ire", "cycle", 16, 50),
+	}}
+	s, err := trajectory.NewSeries([]harness.Artifact{head, head}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md := NewSeries(s, Options{}).Markdown(); !strings.Contains(md, "No metric moved beyond the thresholds") {
+		t.Fatalf("markdown missing all-clear:\n%s", md)
 	}
 }
 
@@ -335,23 +388,24 @@ func TestCSVShape(t *testing.T) {
 	}
 }
 
-// TestV1ArtifactReport: a means-only v1 artifact still renders (Wilson
-// recomputed from successes/trials, no dist columns).
+// TestV1ArtifactReport: a means-only cell (no dists and no stored Wilson
+// bounds, the shape v1 artifacts had) still renders, with Wilson
+// recomputed from successes/trials and no dist columns.
 func TestV1ArtifactReport(t *testing.T) {
-	a := harness.Artifact{Schema: harness.ArtifactSchemaV1, Cells: []harness.ArtifactCell{{
+	a := harness.Artifact{Schema: harness.ArtifactSchema, Cells: []harness.ArtifactCell{{
 		Protocol: "ire", Family: "expander", N: 64, M: 192,
 		Trials: 10, Successes: 9, Messages: 1000, Rounds: 50,
 	}}}
 	r := New(a, Options{})
 	md := r.Markdown()
 	if !strings.Contains(md, "9/10") || !strings.Contains(md, "[0.596, 0.982]") {
-		t.Fatalf("v1 Wilson interval missing:\n%s", md)
+		t.Fatalf("means-only Wilson interval missing:\n%s", md)
 	}
 	out, err := r.CSV()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "table1,ire,expander,64") {
-		t.Fatalf("v1 CSV row missing:\n%s", out)
+		t.Fatalf("means-only CSV row missing:\n%s", out)
 	}
 }

@@ -3,9 +3,9 @@
 // validating them across runs needs spread, not just point estimates:
 //
 //   - Dist/DistOf and Quantiles summarize per-trial metric samples
-//     (the distributions schema-v2+ bench artifacts persist per cell);
+//     (the distributions bench artifacts persist per cell);
 //   - Wilson gives the success-rate confidence interval every rendered
-//     table and every benchdiff success verdict uses;
+//     table and every success verdict of the regression gate uses;
 //   - StdErr/WelchStdErr feed the variance-aware effect gates in
 //     internal/trajectory (a change must beat both a relative tolerance
 //     and k Welch standard errors before it is called);

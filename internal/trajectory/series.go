@@ -3,15 +3,14 @@ package trajectory
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"anonlead/internal/harness"
 )
 
 // Series is an ordered run of bench artifacts, oldest first — the
-// cross-PR trajectory the pairwise Diff only ever sees two points of.
+// cross-PR trajectory, or with two points the base-versus-head gate.
 // Build one with NewSeries (in-memory artifacts) or LoadSeries (files),
-// then classify per-metric trends with Trends.
+// then classify per-metric movement with Trends.
 type Series struct {
 	// Labels name the series points in order (file basenames for
 	// LoadSeries, indices otherwise).
@@ -63,52 +62,30 @@ func LoadSeries(paths ...string) (Series, error) {
 	return NewSeries(artifacts, labels)
 }
 
-// Trend classifies one metric's trajectory over a whole series.
-type Trend string
-
-// The trend verdicts. Net movement is judged between the series
-// endpoints with the same two gates the pairwise classifier uses
-// (relative tolerance AND Welch standard errors — or Wilson-interval
-// disjointness for the success rate), so a trend is never called on
-// trial noise.
-const (
-	TrendImproving  Trend = "improving"
-	TrendFlat       Trend = "flat"
-	TrendRegressing Trend = "regressing"
-)
-
-// trendOf maps a pairwise endpoint classification onto a trend verdict.
-func trendOf(s Status) Trend {
-	switch s {
-	case Improved:
-		return TrendImproving
-	case Regressed:
-		return TrendRegressing
-	default:
-		return TrendFlat
-	}
-}
-
 // MetricTrend is one metric's trajectory on one aligned cell.
 type MetricTrend struct {
 	Metric string `json:"metric"`
-	// Values holds the metric's per-artifact means (the success rate for
-	// success_rate), in series order.
+	// Values holds the metric's per-artifact values in series order: the
+	// mean for a cost, the rate for success_rate, the measured/predicted
+	// ratio for msgs_vs_pred and time_vs_pred.
 	Values []float64 `json:"values"`
 	// First and Last are the endpoint values (Values[0] and Values[-1]).
 	First float64 `json:"first"`
 	Last  float64 `json:"last"`
 	// RelDelta is (last-first)/|first| (0 when first is 0).
 	RelDelta float64 `json:"rel_delta"`
-	// StdErr is the Welch standard error of last-first (0 when either
-	// endpoint lacks distributions).
+	// StdErr is the Welch standard error of last-first (0 for the rate
+	// and ratio metrics, and for zero-spread samples).
 	StdErr float64 `json:"stderr"`
-	// Steps classifies each adjacent pair of points with the pairwise
-	// machinery (len = points-1): the texture behind the net verdict, so
-	// a regression introduced three artifacts ago is distinguishable from
-	// a slow drift.
+	// Steps classifies each adjacent pair of points (len = points-1): the
+	// texture behind the net verdict, so a regression introduced three
+	// artifacts ago is distinguishable from a slow drift.
 	Steps []Status `json:"steps"`
-	Trend Trend    `json:"trend"`
+	// Status is the net verdict, judged between the series endpoints
+	// with the relative tolerance AND Welch standard errors (Wilson
+	// disjointness for the success rate, DriftTol for the ratios), so it
+	// is never called on trial noise.
+	Status Status `json:"status"`
 }
 
 // CellTrend is one aligned cell's trajectory across all metrics.
@@ -117,13 +94,15 @@ type CellTrend struct {
 	Metrics []MetricTrend `json:"metrics"`
 }
 
-// SeriesReport is the full trend classification of a series.
+// SeriesReport is the full classification of a series.
 type SeriesReport struct {
 	Labels     []string    `json:"labels"`
-	Schemas    []string    `json:"schemas"`
-	MeansOnly  bool        `json:"means_only"`
 	Thresholds Thresholds  `json:"thresholds"`
 	Cells      []CellTrend `json:"cells"`
+	// Removed lists one key per occurrence the oldest point has and the
+	// newest lacks, in the oldest point's order — a shrunk sweep can hide
+	// a regression, so the gate can fail on it.
+	Removed []Key `json:"removed,omitempty"`
 	// Partial lists cell keys whose occurrences are missing from at least
 	// one series point (including duplicate occurrences that exist only
 	// in some artifacts, even when the key's common occurrences are
@@ -131,44 +110,41 @@ type SeriesReport struct {
 	// goes has no well-defined trajectory, and hiding it could hide a
 	// regression.
 	Partial []Key `json:"partial,omitempty"`
-	// PartialPoints labels series points that are distributed-sweep partial
-	// artifacts (an ArtifactPlan header covering less than its planned
-	// matrix). Cells absent from those points are usually unassigned, not
-	// removed — the Partial list is read accordingly.
-	PartialPoints []string `json:"partial_points,omitempty"`
+	// NewestPartial records that the newest point is a distributed-sweep
+	// partial (an ArtifactPlan header covering less than its planned
+	// matrix). Cells it lacks were likely never assigned to it, so the
+	// Removed list is advisory.
+	NewestPartial bool `json:"newest_partial,omitempty"`
 
-	Improving  int `json:"improving"`
-	Flat       int `json:"flat"`
-	Regressing int `json:"regressing"`
+	Improved  int `json:"improved"`
+	Unchanged int `json:"unchanged"`
+	Regressed int `json:"regressed"`
+	// Drifted counts measured/predicted ratios that moved beyond DriftTol
+	// between the endpoints.
+	Drifted int `json:"drifted"`
 }
 
-// HasRegressions reports whether any metric's net trend regresses.
-func (r SeriesReport) HasRegressions() bool { return r.Regressing > 0 }
+// HasRegressions reports whether any metric's net verdict regressed.
+func (r SeriesReport) HasRegressions() bool { return r.Regressed > 0 }
 
-// seriesMetrics names the per-cell metrics a trend is computed for, in
-// report order: the cost metrics plus the success rate.
-var seriesMetrics = append(append([]string{}, costMetrics...), "success_rate")
+// HasDrift reports whether any measured/predicted ratio drifted.
+func (r SeriesReport) HasDrift() bool { return r.Drifted > 0 }
 
 // Trends aligns the series' cells across every artifact and classifies
 // each metric's net trajectory. A cell occurrence is tracked only when
-// present in every point (duplicates pair by occurrence index, like
-// Diff); tracked cells follow the first artifact's order.
+// present in every point (duplicate keys pair by occurrence index);
+// tracked cells follow the first artifact's order.
 func (s Series) Trends(th Thresholds) SeriesReport {
 	th = th.withDefaults()
-	r := SeriesReport{Labels: s.Labels, Thresholds: th}
-	for i, a := range s.Artifacts {
-		r.Schemas = append(r.Schemas, a.Schema)
-		if a.IsPartial() {
-			r.PartialPoints = append(r.PartialPoints, s.Labels[i])
-		}
-	}
+	last := len(s.Artifacts) - 1
+	r := SeriesReport{Labels: s.Labels, Thresholds: th, NewestPartial: s.Artifacts[last].IsPartial()}
 
 	// Per-artifact occurrence index: key -> cell indices in order.
 	occ := make([]map[Key][]int, len(s.Artifacts))
 	for i, a := range s.Artifacts {
 		occ[i] = make(map[Key][]int, len(a.Cells))
 		for j, c := range a.Cells {
-			k := keyOf(c)
+			k := KeyOf(c)
 			occ[i][k] = append(occ[i][k], j)
 		}
 	}
@@ -200,9 +176,12 @@ func (s Series) Trends(th Thresholds) SeriesReport {
 
 	seen := map[Key]int{} // occurrences of key consumed from the first artifact
 	for _, first := range s.Artifacts[0].Cells {
-		k := keyOf(first)
+		k := KeyOf(first)
 		j := seen[k]
 		seen[k]++
+		if j >= len(occ[last][k]) {
+			r.Removed = append(r.Removed, k)
+		}
 		// The j-th occurrence must exist in every point of the series.
 		cells := make([]harness.ArtifactCell, len(s.Artifacts))
 		tracked := true
@@ -217,25 +196,21 @@ func (s Series) Trends(th Thresholds) SeriesReport {
 		if !tracked {
 			continue
 		}
-		meansOnly := false
-		for _, c := range cells {
-			if !c.HasDists() {
-				meansOnly = true
-			}
-		}
-		if meansOnly {
-			r.MeansOnly = true
-		}
 		ct := CellTrend{Key: k}
-		for _, m := range seriesMetrics {
-			mt := metricTrend(m, cells, th, meansOnly)
-			switch mt.Trend {
-			case TrendImproving:
-				r.Improving++
-			case TrendRegressing:
-				r.Regressing++
+		for _, m := range metrics {
+			mt, ok := metricTrend(m, cells, th)
+			if !ok {
+				continue
+			}
+			switch mt.Status {
+			case Improved:
+				r.Improved++
+			case Regressed:
+				r.Regressed++
+			case Drifted:
+				r.Drifted++
 			default:
-				r.Flat++
+				r.Unchanged++
 			}
 			ct.Metrics = append(ct.Metrics, mt)
 		}
@@ -245,7 +220,7 @@ func (s Series) Trends(th Thresholds) SeriesReport {
 	emitted := map[Key]bool{}
 	for _, a := range s.Artifacts {
 		for _, c := range a.Cells {
-			k := keyOf(c)
+			k := KeyOf(c)
 			if partial[k] && !emitted[k] {
 				emitted[k] = true
 				r.Partial = append(r.Partial, k)
@@ -256,52 +231,30 @@ func (s Series) Trends(th Thresholds) SeriesReport {
 }
 
 // metricTrend classifies one metric's trajectory over the aligned cells
-// (one per series point) by reusing the pairwise classifier: the net
-// verdict compares the endpoints, Steps compare each adjacent pair.
-func metricTrend(metric string, cells []harness.ArtifactCell, th Thresholds, meansOnly bool) MetricTrend {
-	classify := func(base, head harness.ArtifactCell) MetricDiff {
-		if metric == "success_rate" {
-			return classifySuccess(base, head)
-		}
-		return classifyCost(metric, cellDist(base, metric), cellDist(head, metric), th, meansOnly)
+// (one per series point): the net verdict compares the endpoints, Steps
+// compare each adjacent pair. ok=false when the metric is undefined at
+// some point (a ratio without a usable prediction).
+func metricTrend(m metric, cells []harness.ArtifactCell, th Thresholds) (MetricTrend, bool) {
+	net, ok := m.classify(cells[0], cells[len(cells)-1], th)
+	if !ok {
+		return MetricTrend{}, false
 	}
-	net := classify(cells[0], cells[len(cells)-1])
 	mt := MetricTrend{
-		Metric:   metric,
+		Metric:   m.name,
+		Values:   []float64{net.Base},
 		First:    net.Base,
 		Last:     net.Head,
 		RelDelta: net.RelDelta,
 		StdErr:   net.StdErr,
-		Trend:    trendOf(net.Status),
-	}
-	for _, c := range cells {
-		var v float64
-		switch metric {
-		case "messages":
-			v = c.Messages
-		case "bits":
-			v = c.Bits
-		case "rounds":
-			v = c.Rounds
-		case "charged":
-			v = c.Charged
-		case "success_rate":
-			v = rate(c)
-		}
-		mt.Values = append(mt.Values, v)
+		Status:   net.Status,
 	}
 	for i := 1; i < len(cells); i++ {
-		mt.Steps = append(mt.Steps, classify(cells[i-1], cells[i]).Status)
+		step, ok := m.classify(cells[i-1], cells[i], th)
+		if !ok {
+			return MetricTrend{}, false
+		}
+		mt.Values = append(mt.Values, step.Head)
+		mt.Steps = append(mt.Steps, step.Status)
 	}
-	return mt
-}
-
-// String renders the trend compactly ("1000 → 900 → 500 (improving)") for
-// logs and error messages.
-func (mt MetricTrend) String() string {
-	vals := make([]string, len(mt.Values))
-	for i, v := range mt.Values {
-		vals[i] = fmtVal(v)
-	}
-	return fmt.Sprintf("%s: %s (%s)", mt.Metric, strings.Join(vals, " → "), mt.Trend)
+	return mt, true
 }

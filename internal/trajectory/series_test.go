@@ -9,8 +9,8 @@ import (
 	"anonlead/internal/harness"
 )
 
-// trendCell builds a v2+ cell with independent means per metric so one
-// series can carry an improving, a flat, and a regressing metric at once.
+// trendCell builds a cell with independent means per metric so one
+// series can carry an improved, an unchanged, and a regressed metric at once.
 func trendCell(msgs, bits, rounds, charged float64, trials, successes int, stddev float64) harness.ArtifactCell {
 	dist := func(mean float64) *harness.ArtifactDist {
 		return &harness.ArtifactDist{
@@ -28,13 +28,14 @@ func trendCell(msgs, bits, rounds, charged float64, trials, successes int, stdde
 }
 
 // TestSeriesTrendClassification is the acceptance scenario: a synthetic
-// 3-artifact series must classify an improving, a flat, and a regressing
-// metric correctly, with the fourth (charged) flat inside noise.
+// 3-artifact series must classify an improved, an unchanged, and a
+// regressed metric correctly, with the fourth (charged) unchanged inside
+// noise.
 func TestSeriesTrendClassification(t *testing.T) {
-	// messages: 1000 -> 900 -> 500 (improving, tight variance)
-	// bits:     1000 -> 1100 -> 2000 (regressing)
-	// rounds:   1000 -> 1000 -> 1000 (flat)
-	// charged:  1000 -> 1080 -> 1060 (net +6% but stddev 400 => noise-flat)
+	// messages: 1000 -> 900 -> 500 (improved, tight variance)
+	// bits:     1000 -> 1100 -> 2000 (regressed)
+	// rounds:   1000 -> 1000 -> 1000 (unchanged)
+	// charged:  1000 -> 1080 -> 1060 (net +6% but stddev 400 => noise)
 	series, err := NewSeries([]harness.Artifact{
 		artifact(harness.ArtifactSchema, trendCell(1000, 1000, 1000, 1000, 10, 10, 0)),
 		artifact(harness.ArtifactSchema, trendCell(900, 1100, 1000, 1080, 10, 10, 0)),
@@ -52,20 +53,20 @@ func TestSeriesTrendClassification(t *testing.T) {
 	if len(r.Cells) != 1 || len(r.Partial) != 0 {
 		t.Fatalf("alignment wrong: %+v", r)
 	}
-	want := map[string]Trend{
-		"messages":     TrendImproving,
-		"bits":         TrendRegressing,
-		"rounds":       TrendFlat,
-		"charged":      TrendFlat, // 6% net effect buried under stddev 400
-		"success_rate": TrendFlat,
+	want := map[string]Status{
+		"messages":     Improved,
+		"bits":         Regressed,
+		"rounds":       Unchanged,
+		"charged":      Unchanged, // 6% net effect buried under stddev 400
+		"success_rate": Unchanged,
 	}
 	for _, mt := range r.Cells[0].Metrics {
-		if mt.Trend != want[mt.Metric] {
-			t.Fatalf("%s classified %s, want %s (%s)", mt.Metric, mt.Trend, want[mt.Metric], mt)
+		if mt.Status != want[mt.Metric] {
+			t.Fatalf("%s classified %s, want %s (%+v)", mt.Metric, mt.Status, want[mt.Metric], mt)
 		}
 	}
-	if r.Improving != 1 || r.Regressing != 1 || r.Flat != 3 {
-		t.Fatalf("counts improving=%d flat=%d regressing=%d", r.Improving, r.Flat, r.Regressing)
+	if r.Improved != 1 || r.Regressed != 1 || r.Unchanged != 3 {
+		t.Fatalf("counts improved=%d unchanged=%d regressed=%d", r.Improved, r.Unchanged, r.Regressed)
 	}
 	if r.HasRegressions() != true {
 		t.Fatal("regressing series not reported")
@@ -102,8 +103,8 @@ func TestSeriesSuccessTrend(t *testing.T) {
 	}
 	r := series.Trends(Thresholds{})
 	for _, mt := range r.Cells[0].Metrics {
-		if mt.Metric == "success_rate" && mt.Trend != TrendRegressing {
-			t.Fatalf("success collapse classified %s (%s)", mt.Trend, mt)
+		if mt.Metric == "success_rate" && mt.Status != Regressed {
+			t.Fatalf("success collapse classified %s (%+v)", mt.Status, mt)
 		}
 	}
 	if r.Labels[0] != "#1" || r.Labels[2] != "#3" {
@@ -134,6 +135,10 @@ func TestSeriesPartialCells(t *testing.T) {
 	}
 	if r.Partial[0].Protocol != "flood" || r.Partial[1].Family != "cycle" {
 		t.Fatalf("partial order %v", r.Partial)
+	}
+	// flaky came back at the newest point, so nothing counts as removed.
+	if len(r.Removed) != 0 {
+		t.Fatalf("removed %v", r.Removed)
 	}
 }
 
@@ -169,9 +174,9 @@ func TestSeriesDuplicateOccurrences(t *testing.T) {
 		t.Fatal(err)
 	}
 	r = series.Trends(Thresholds{})
-	if len(r.Cells) != 1 || len(r.Partial) != 1 {
-		t.Fatalf("first-artifact extra occurrence not partial: cells=%d partial=%v",
-			len(r.Cells), r.Partial)
+	if len(r.Cells) != 1 || len(r.Partial) != 1 || len(r.Removed) != 1 {
+		t.Fatalf("first-artifact extra occurrence not partial and removed: cells=%d partial=%v removed=%v",
+			len(r.Cells), r.Partial, r.Removed)
 	}
 
 	// Equal occurrence counts everywhere: both tracked, nothing partial.
@@ -188,28 +193,22 @@ func TestSeriesDuplicateOccurrences(t *testing.T) {
 	}
 }
 
-// TestSeriesMeansOnlyDowngrade: a v1 point anywhere in the series
-// downgrades that cell to the relative tolerance alone, flagged.
-func TestSeriesMeansOnlyDowngrade(t *testing.T) {
-	v1 := harness.ArtifactCell{
+// TestSeriesNilDistBaseAgainstDistHead: a dist-less point against one
+// with distributions compares on the one side's spread alone — a wide head
+// spread keeps a 10% effect inside noise, a 2x effect still counts.
+func TestSeriesNilDistBaseAgainstDistHead(t *testing.T) {
+	bare := harness.ArtifactCell{
 		Protocol: "ire", Family: "expander", N: 64,
 		Trials: 10, Successes: 10,
 		Messages: 1000, Bits: 1000, Rounds: 1000, Charged: 1000,
 	}
-	v2head := cell("ire", "expander", 64, 10, 10, 2000, 1)
-	series, err := NewSeries([]harness.Artifact{
-		artifact(harness.ArtifactSchemaV1, v1),
-		artifact(harness.ArtifactSchema, v2head),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	noisy := cell("ire", "expander", 64, 10, 10, 1100, 400)
+	if r := pair(t, artifact(harness.ArtifactSchema, bare), artifact(harness.ArtifactSchema, noisy), Thresholds{}); r.Regressed != 0 {
+		t.Fatalf("10%% effect inside the head's noise flagged: %+v", r)
 	}
-	r := series.Trends(Thresholds{})
-	if !r.MeansOnly {
-		t.Fatal("v1 point not flagged means-only")
-	}
-	if r.Regressing == 0 {
-		t.Fatalf("2x means-only effect not classified: %+v", r.Cells[0].Metrics[0])
+	wide := cell("ire", "expander", 64, 10, 10, 2000, 5)
+	if r := pair(t, artifact(harness.ArtifactSchema, bare), artifact(harness.ArtifactSchema, wide), Thresholds{}); r.Regressed != 4 {
+		t.Fatalf("2x effect against a dist-less base not flagged: %+v", r)
 	}
 }
 
@@ -250,8 +249,8 @@ func TestLoadSeries(t *testing.T) {
 		t.Fatalf("labels %v", s.Labels)
 	}
 	r := s.Trends(Thresholds{})
-	if len(r.Cells) != 1 || r.Regressing != 0 {
-		t.Fatalf("identical series not flat: %+v", r)
+	if len(r.Cells) != 1 || r.Regressed != 0 {
+		t.Fatalf("identical series not unchanged: %+v", r)
 	}
 
 	if _, err := LoadSeries(write("run3"), filepath.Join(dir, "missing.json")); err == nil {

@@ -1,19 +1,17 @@
 // Package trajectory compares bench artifacts across runs: it aligns the
-// sweep cells of a base and a head BENCH_harness.json by workload identity
-// and classifies each cost metric as improved, unchanged, or regressed.
+// sweep cells of an ordered series of BENCH_harness.json files by workload
+// identity and classifies each metric's movement as improved, unchanged,
+// regressed or (for the measured/predicted ratios) drifted. A two-point
+// series is the base-versus-head regression gate.
 //
 // The paper's guarantees are probabilistic (w.h.p. message/time bounds),
 // so per-cell measurements carry real trial variance; a useful regression
-// gate must separate effects from noise. With schema-v2 artifacts the
-// classifier therefore demands an effect exceed BOTH a relative tolerance
-// and a multiple of the Welch standard error of the difference of means.
-// Legacy v1 artifacts carry only means, so the comparison downgrades to
-// the relative tolerance alone (Report.MeansOnly records this; benchdiff
-// prints it as an explicit downgrade note instead of erroring).
+// gate must separate effects from noise. The classifier therefore demands
+// an effect exceed BOTH a relative tolerance and a multiple of the Welch
+// standard error of the difference of means.
 package trajectory
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -29,25 +27,24 @@ type Key struct {
 	Family    string `json:"family"`
 	N         int    `json:"n"`
 	PresumedN int    `json:"presumed_n,omitempty"`
-	// Adversary is the fault-injection descriptor ("" = fault-free, which
-	// is what every v1/v2 cell aligns as). Schema v3.
+	// Adversary is the fault-injection descriptor ("" = fault-free).
 	Adversary string `json:"adversary,omitempty"`
 	// ProfileMode is the resolved profile regime behind the cell's
-	// tmix/Φ/diameter columns ("" = exact, which is what every v1–v3 cell
-	// aligns as). An exact cell and an estimate cell of the same workload
-	// measure against different predicted bounds, so a regime switch
-	// reports as added/removed rather than a false cost regression.
-	// Schema v4.
+	// tmix/Φ/diameter columns ("" = exact). An exact cell and an estimate
+	// cell of the same workload measure against different predicted
+	// bounds, so a regime switch reports as partial/removed rather than a
+	// false cost regression.
 	ProfileMode string `json:"profile_mode,omitempty"`
 	// Scenario is the epoch scenario descriptor of a repeated-election
-	// cell ("" = classic single election, which is what every v1-v5 cell
-	// aligns as). A scenario cell's metrics are multi-epoch totals, so a
-	// scenario switch reports as added/removed rather than a false cost
-	// regression. Schema v6.
+	// cell ("" = classic single election). A scenario cell's metrics are
+	// multi-epoch totals, so a scenario switch reports as partial/removed
+	// rather than a false cost regression.
 	Scenario string `json:"scenario,omitempty"`
 }
 
-func keyOf(c harness.ArtifactCell) Key {
+// KeyOf is the cell's alignment key. Duplicate keys within one artifact
+// pair across artifacts by occurrence index.
+func KeyOf(c harness.ArtifactCell) Key {
 	return Key{Protocol: c.Protocol, Family: c.Family, N: c.N,
 		PresumedN: c.PresumedN, Adversary: c.Adversary,
 		ProfileMode: c.ProfileMode, Scenario: c.Scenario}
@@ -94,11 +91,11 @@ type Thresholds struct {
 	RelTol float64 `json:"rel_tol"`
 	// Sigmas is the minimum effect in units of the Welch standard error
 	// of the difference of means (default 3). Guards against flagging
-	// trial noise. Only applies when both artifacts carry distributions.
+	// trial noise.
 	Sigmas float64 `json:"sigmas"`
 	// DriftTol is the minimum relative change of a measured/predicted
-	// ratio between base and head to flag predicted-vs-measured drift
-	// (default 0.25). Both artifacts persist the paper-bound predictions
+	// ratio between two points to flag predicted-vs-measured drift
+	// (default 0.25). Artifacts persist the paper-bound predictions
 	// per cell, so this gate catches a cell walking away from its
 	// complexity bound even when raw costs moved "legitimately".
 	DriftTol float64 `json:"drift_tol"`
@@ -118,103 +115,69 @@ func (t Thresholds) withDefaults() Thresholds {
 	return t
 }
 
-// MetricDiff is the comparison of one metric on one aligned cell.
-type MetricDiff struct {
-	Metric string `json:"metric"`
-	// Base and Head are the per-trial means (or rates for success_rate).
-	Base float64 `json:"base"`
-	Head float64 `json:"head"`
-	// RelDelta is (head-base)/|base|. When base is 0 it stays 0 (JSON has
-	// no Inf) and Status alone carries the verdict.
-	RelDelta float64 `json:"rel_delta"`
+// comparison is the classification of one metric between two points of
+// a series (base older than head).
+type comparison struct {
+	// Base and Head are the per-trial means (the rate for success_rate,
+	// the measured/predicted ratio for the drift metrics).
+	Base, Head float64
+	// RelDelta is (head-base)/|base|. When base is 0 it stays 0 and Status
+	// alone carries the verdict.
+	RelDelta float64
 	// StdErr is the Welch standard error of head-base (0 when either side
-	// lacks distributions or has fewer than two trials).
-	StdErr float64 `json:"stderr"`
-	Status Status  `json:"status"`
+	// has zero spread or fewer than two trials).
+	StdErr float64
+	Status Status
 }
 
-// CellDiff is one aligned cell's comparison across all metrics.
-type CellDiff struct {
-	Key     Key          `json:"key"`
-	Metrics []MetricDiff `json:"metrics"`
+// metric is one per-cell metric a series classifies. classify compares it
+// between two points; ok=false means the metric is undefined on that pair
+// (a drift ratio without a usable prediction).
+type metric struct {
+	name     string
+	classify func(base, head harness.ArtifactCell, th Thresholds) (d comparison, ok bool)
 }
 
-// Report is the full artifact comparison.
-type Report struct {
-	BaseSchema string     `json:"base_schema"`
-	HeadSchema string     `json:"head_schema"`
-	MeansOnly  bool       `json:"means_only"`
-	Thresholds Thresholds `json:"thresholds"`
-	Cells      []CellDiff `json:"cells"`
-	// Added and Removed list cells present in only one artifact. They are
-	// reported, not classified — a shrunk sweep can hide a regression, so
-	// the markdown summary calls them out loudly.
-	Added   []Key `json:"added,omitempty"`
-	Removed []Key `json:"removed,omitempty"`
-	// BasePartial/HeadPartial record that a side is a distributed-sweep
-	// partial (an ArtifactPlan header covering less than its planned
-	// matrix). Cells "removed" against a partial head are usually cells
-	// that worker was never asked to run, not cells a shrunk sweep
-	// deleted — benchdiff downgrades its removed-cells gate accordingly.
-	BasePartial bool `json:"base_partial,omitempty"`
-	HeadPartial bool `json:"head_partial,omitempty"`
-
-	Improved  int `json:"improved"`
-	Unchanged int `json:"unchanged"`
-	Regressed int `json:"regressed"`
-	// Drifted counts predicted-vs-measured ratio metrics that moved
-	// beyond DriftTol between base and head (gated by -fail-on drift,
-	// independently of the cost-regression gate).
-	Drifted int `json:"drifted"`
+func costMetric(name string, dist func(harness.ArtifactCell) stats.Dist) metric {
+	return metric{name, func(base, head harness.ArtifactCell, th Thresholds) (comparison, bool) {
+		return classifyCost(dist(base), dist(head), th), true
+	}}
 }
 
-// HasRegressions reports whether any aligned metric regressed.
-func (r Report) HasRegressions() bool { return r.Regressed > 0 }
-
-// HasDrift reports whether any measured/predicted ratio drifted.
-func (r Report) HasDrift() bool { return r.Drifted > 0 }
-
-// JSON renders the report machine-readably.
-func (r Report) JSON() ([]byte, error) {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("trajectory: marshal report: %w", err)
-	}
-	return append(buf, '\n'), nil
+func driftMetric(name string, ratio func(harness.ArtifactCell) (measured, predicted float64)) metric {
+	return metric{name, func(base, head harness.ArtifactCell, th Thresholds) (comparison, bool) {
+		baseMeas, basePred := ratio(base)
+		headMeas, headPred := ratio(head)
+		return classifyDrift(baseMeas, basePred, headMeas, headPred, th)
+	}}
 }
 
-// costMetrics names the lower-is-better metrics, in report order.
-var costMetrics = []string{"messages", "bits", "rounds", "charged"}
-
-// cellDist extracts the named cost metric's distribution from a cell,
-// rehydrating trials and mean (a v1 cell yields a zero-spread Dist).
-func cellDist(c harness.ArtifactCell, metric string) stats.Dist {
-	switch metric {
-	case "messages":
-		return c.MessagesDist.Dist(c.Trials, c.Messages)
-	case "bits":
-		return c.BitsDist.Dist(c.Trials, c.Bits)
-	case "rounds":
-		return c.RoundsDist.Dist(c.Trials, c.Rounds)
-	case "charged":
-		return c.ChargedDist.Dist(c.Trials, c.Charged)
-	default:
-		panic("trajectory: unknown metric " + metric)
-	}
+// metrics lists the classified metrics in report order: the four
+// lower-is-better costs (a cell without a dist rehydrates to zero spread),
+// the success rate, and the measured/predicted ratios pairing the paper's
+// message bound with mean messages and its time bound with mean rounds.
+var metrics = []metric{
+	costMetric("messages", func(c harness.ArtifactCell) stats.Dist { return c.MessagesDist.Dist(c.Trials, c.Messages) }),
+	costMetric("bits", func(c harness.ArtifactCell) stats.Dist { return c.BitsDist.Dist(c.Trials, c.Bits) }),
+	costMetric("rounds", func(c harness.ArtifactCell) stats.Dist { return c.RoundsDist.Dist(c.Trials, c.Rounds) }),
+	costMetric("charged", func(c harness.ArtifactCell) stats.Dist { return c.ChargedDist.Dist(c.Trials, c.Charged) }),
+	{"success_rate", func(base, head harness.ArtifactCell, _ Thresholds) (comparison, bool) {
+		return classifySuccess(base, head), true
+	}},
+	driftMetric("msgs_vs_pred", func(c harness.ArtifactCell) (float64, float64) { return c.Messages, c.PredictedMsgs }),
+	driftMetric("time_vs_pred", func(c harness.ArtifactCell) (float64, float64) { return c.Rounds, c.PredictedTime }),
 }
 
 // classifyCost compares one lower-is-better metric. A change is called
-// only when the effect clears the relative tolerance AND (when variance is
-// available) Sigmas standard errors of the difference.
-func classifyCost(metric string, base, head stats.Dist, th Thresholds, meansOnly bool) MetricDiff {
-	d := MetricDiff{Metric: metric, Base: base.Mean, Head: head.Mean, Status: Unchanged}
+// only when the effect clears the relative tolerance AND Sigmas standard
+// errors of the difference.
+func classifyCost(base, head stats.Dist, th Thresholds) comparison {
+	d := comparison{Base: base.Mean, Head: head.Mean, Status: Unchanged}
 	delta := head.Mean - base.Mean
 	if base.Mean != 0 {
 		d.RelDelta = delta / math.Abs(base.Mean)
 	}
-	if !meansOnly {
-		d.StdErr = stats.WelchStdErr(base, head)
-	}
+	d.StdErr = stats.WelchStdErr(base, head)
 	if delta == 0 {
 		return d
 	}
@@ -222,7 +185,7 @@ func classifyCost(metric string, base, head stats.Dist, th Thresholds, meansOnly
 	if base.Mean != 0 && math.Abs(delta) <= th.RelTol*math.Abs(base.Mean) {
 		return d
 	}
-	// Variance gate (vacuous for means-only or zero-variance samples).
+	// Variance gate (vacuous for zero-variance samples).
 	if math.Abs(delta) <= th.Sigmas*d.StdErr {
 		return d
 	}
@@ -235,11 +198,10 @@ func classifyCost(metric string, base, head stats.Dist, th Thresholds, meansOnly
 }
 
 // classifySuccess compares the success rate (higher is better) by Wilson
-// interval disjointness, which both schemas support: successes and trials
-// are v1 fields, so this comparison never downgrades.
-func classifySuccess(base, head harness.ArtifactCell) MetricDiff {
+// interval disjointness over the cells' successes and trials.
+func classifySuccess(base, head harness.ArtifactCell) comparison {
 	baseRate, headRate := rate(base), rate(head)
-	d := MetricDiff{Metric: "success_rate", Base: baseRate, Head: headRate, Status: Unchanged}
+	d := comparison{Base: baseRate, Head: headRate, Status: Unchanged}
 	if baseRate != 0 {
 		d.RelDelta = (headRate - baseRate) / baseRate
 	}
@@ -261,121 +223,21 @@ func rate(c harness.ArtifactCell) float64 {
 	return float64(c.Successes) / float64(c.Trials)
 }
 
-// driftMetrics pairs each persisted prediction with the measurement it
-// bounds: the paper's message bound against mean messages, its time bound
-// against mean rounds.
-var driftMetrics = []struct {
-	name      string
-	measured  func(harness.ArtifactCell) float64
-	predicted func(harness.ArtifactCell) float64
-}{
-	{"msgs_vs_pred", func(c harness.ArtifactCell) float64 { return c.Messages },
-		func(c harness.ArtifactCell) float64 { return c.PredictedMsgs }},
-	{"time_vs_pred", func(c harness.ArtifactCell) float64 { return c.Rounds },
-		func(c harness.ArtifactCell) float64 { return c.PredictedTime }},
-}
-
 // classifyDrift compares one measured/predicted ratio between base and
 // head. A cell whose ratio moves by more than DriftTol relative to its
 // baseline ratio is Drifted — the measurement walked away from (or
 // toward) the paper's bound, a different signal than a raw cost change.
 // Returns ok=false when either side lacks a usable prediction (ratio
 // undefined), in which case no metric is emitted.
-func classifyDrift(name string, baseMeas, basePred, headMeas, headPred float64, th Thresholds) (MetricDiff, bool) {
+func classifyDrift(baseMeas, basePred, headMeas, headPred float64, th Thresholds) (comparison, bool) {
 	if basePred <= 0 || headPred <= 0 || baseMeas <= 0 || headMeas <= 0 {
-		return MetricDiff{}, false
+		return comparison{}, false
 	}
 	baseRatio, headRatio := baseMeas/basePred, headMeas/headPred
-	d := MetricDiff{Metric: name, Base: baseRatio, Head: headRatio, Status: Unchanged}
+	d := comparison{Base: baseRatio, Head: headRatio, Status: Unchanged}
 	d.RelDelta = (headRatio - baseRatio) / baseRatio
 	if math.Abs(d.RelDelta) > th.DriftTol {
 		d.Status = Drifted
 	}
 	return d, true
-}
-
-// Diff aligns the cells of two artifacts by Key and classifies every
-// metric. Aligned cells keep base order; duplicates of a key pair up by
-// occurrence index, with unpaired occurrences reported as added/removed.
-func Diff(base, head harness.Artifact, th Thresholds) Report {
-	th = th.withDefaults()
-	r := Report{
-		BaseSchema:  base.Schema,
-		HeadSchema:  head.Schema,
-		BasePartial: base.IsPartial(),
-		HeadPartial: head.IsPartial(),
-		Thresholds:  th,
-	}
-
-	headIdx := make(map[Key][]int, len(head.Cells))
-	for i, c := range head.Cells {
-		k := keyOf(c)
-		headIdx[k] = append(headIdx[k], i)
-	}
-	matchedHead := make([]bool, len(head.Cells))
-	taken := make(map[Key]int, len(headIdx))
-
-	for _, bc := range base.Cells {
-		k := keyOf(bc)
-		idxs := headIdx[k]
-		if taken[k] >= len(idxs) {
-			r.Removed = append(r.Removed, k)
-			continue
-		}
-		hc := head.Cells[idxs[taken[k]]]
-		matchedHead[idxs[taken[k]]] = true
-		taken[k]++
-
-		// The whole pair downgrades to means-only if either side lacks
-		// distributions (v1 schema, or a hand-edited v2 cell).
-		meansOnly := !bc.HasDists() || !hc.HasDists()
-		if meansOnly {
-			r.MeansOnly = true
-		}
-		cd := CellDiff{Key: k}
-		for _, m := range costMetrics {
-			cd.Metrics = append(cd.Metrics,
-				classifyCost(m, cellDist(bc, m), cellDist(hc, m), th, meansOnly))
-		}
-		cd.Metrics = append(cd.Metrics, classifySuccess(bc, hc))
-		for _, dm := range driftMetrics {
-			if md, ok := classifyDrift(dm.name,
-				dm.measured(bc), dm.predicted(bc),
-				dm.measured(hc), dm.predicted(hc), th); ok {
-				cd.Metrics = append(cd.Metrics, md)
-			}
-		}
-		for _, md := range cd.Metrics {
-			switch md.Status {
-			case Improved:
-				r.Improved++
-			case Regressed:
-				r.Regressed++
-			case Drifted:
-				r.Drifted++
-			default:
-				r.Unchanged++
-			}
-		}
-		r.Cells = append(r.Cells, cd)
-	}
-	for i, hc := range head.Cells {
-		if !matchedHead[i] {
-			r.Added = append(r.Added, keyOf(hc))
-		}
-	}
-	return r
-}
-
-// DiffFiles loads two artifact files and diffs them.
-func DiffFiles(basePath, headPath string, th Thresholds) (Report, error) {
-	base, err := harness.ReadArtifactFile(basePath)
-	if err != nil {
-		return Report{}, err
-	}
-	head, err := harness.ReadArtifactFile(headPath)
-	if err != nil {
-		return Report{}, err
-	}
-	return Diff(base, head, th), nil
 }

@@ -7,7 +7,7 @@ import (
 	"anonlead/internal/harness"
 )
 
-// cell builds a v2 artifact cell with a given mean/stddev on every cost
+// cell builds an artifact cell with a given mean/stddev on every cost
 // metric and a success count.
 func cell(proto, family string, n, trials, successes int, mean, stddev float64) harness.ArtifactCell {
 	dist := func() *harness.ArtifactDist {
@@ -28,29 +28,36 @@ func artifact(schema string, cells ...harness.ArtifactCell) harness.Artifact {
 	return harness.Artifact{Schema: schema, Cells: cells}
 }
 
+// pair classifies the two-point series base → head: the regression gate.
+func pair(t *testing.T, base, head harness.Artifact, th Thresholds) SeriesReport {
+	t.Helper()
+	s, err := NewSeries([]harness.Artifact{base, head}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Trends(th)
+}
+
 func TestDiffIdenticalArtifactsUnchanged(t *testing.T) {
 	a := artifact(harness.ArtifactSchema,
 		cell("ire", "expander", 64, 10, 10, 1000, 50),
 		cell("flood", "complete", 32, 10, 10, 400, 0))
-	r := Diff(a, a, Thresholds{})
-	if r.Regressed != 0 || r.Improved != 0 {
+	r := pair(t, a, a, Thresholds{})
+	if r.Regressed != 0 || r.Improved != 0 || r.Drifted != 0 {
 		t.Fatalf("identical artifacts classified as changed: %+v", r)
 	}
-	if r.Unchanged != 2*5 { // 4 cost metrics + success per cell
+	if r.Unchanged != 2*5 { // 4 cost metrics + success per cell, no predictions
 		t.Fatalf("unchanged count %d", r.Unchanged)
 	}
-	if r.MeansOnly {
-		t.Fatal("v2 pair flagged means-only")
-	}
-	if len(r.Added) != 0 || len(r.Removed) != 0 {
-		t.Fatalf("phantom added/removed: %+v", r)
+	if len(r.Removed) != 0 || len(r.Partial) != 0 {
+		t.Fatalf("phantom removed/partial: %+v", r)
 	}
 }
 
 func TestDiffFlagsLargeRegression(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 50))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 2000, 50))
-	r := Diff(base, head, Thresholds{})
+	r := pair(t, base, head, Thresholds{})
 	if !r.HasRegressions() {
 		t.Fatalf("2x cost increase not flagged: %+v", r)
 	}
@@ -58,19 +65,22 @@ func TestDiffFlagsLargeRegression(t *testing.T) {
 	if r.Regressed != 4 {
 		t.Fatalf("regressed count %d, want 4", r.Regressed)
 	}
-	md := r.Cells[0].Metrics[0]
-	if md.Metric != "messages" || md.Status != Regressed || md.RelDelta != 1 {
-		t.Fatalf("messages diff %+v", md)
+	mt := r.Cells[0].Metrics[0]
+	if mt.Metric != "messages" || mt.Status != Regressed || mt.RelDelta != 1 {
+		t.Fatalf("messages trend %+v", mt)
 	}
-	if md.StdErr <= 0 {
-		t.Fatalf("v2 pair should carry a Welch stderr: %+v", md)
+	if len(mt.Steps) != 1 || mt.Steps[0] != Regressed {
+		t.Fatalf("two-point steps %v", mt.Steps)
+	}
+	if mt.StdErr <= 0 {
+		t.Fatalf("pair with distributions should carry a Welch stderr: %+v", mt)
 	}
 }
 
 func TestDiffFlagsImprovement(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 10))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 500, 10))
-	r := Diff(base, head, Thresholds{})
+	r := pair(t, base, head, Thresholds{})
 	if r.Improved != 4 || r.Regressed != 0 {
 		t.Fatalf("halved cost not improved: %+v", r)
 	}
@@ -84,14 +94,14 @@ func TestDiffVarianceGate(t *testing.T) {
 	// Welch ~400, 3σ gate ~1200 >> 100.
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1000, 400))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1100, 400))
-	r := Diff(base, head, Thresholds{})
+	r := pair(t, base, head, Thresholds{})
 	if r.Regressed != 0 {
 		t.Fatalf("noise flagged as regression: %+v", r)
 	}
 	// The same 10% effect with tight variance IS a regression.
 	base = artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1000, 1))
 	head = artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 4, 4, 1100, 1))
-	if r = Diff(base, head, Thresholds{}); r.Regressed != 4 {
+	if r = pair(t, base, head, Thresholds{}); r.Regressed != 4 {
 		t.Fatalf("tight-variance effect not flagged: %+v", r)
 	}
 }
@@ -101,12 +111,32 @@ func TestDiffVarianceGate(t *testing.T) {
 func TestDiffRelativeToleranceGate(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 0))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1010, 0))
-	r := Diff(base, head, Thresholds{})
+	r := pair(t, base, head, Thresholds{})
 	if r.Regressed != 0 {
 		t.Fatalf("1%% drift flagged under 5%% tolerance: %+v", r)
 	}
-	if r = Diff(base, head, Thresholds{RelTol: 0.005}); r.Regressed != 4 {
+	if r = pair(t, base, head, Thresholds{RelTol: 0.005}); r.Regressed != 4 {
 		t.Fatalf("1%% drift not flagged under 0.5%% tolerance: %+v", r)
+	}
+}
+
+// TestDiffNilDistsGateOnRelTol: a cell without distributions rehydrates
+// to zero spread, so the Welch gate is vacuous and the relative tolerance
+// alone decides.
+func TestDiffNilDistsGateOnRelTol(t *testing.T) {
+	bare := harness.ArtifactCell{
+		Protocol: "ire", Family: "expander", N: 64,
+		Trials: 10, Successes: 10,
+		Messages: 1000, Bits: 1000, Rounds: 1000, Charged: 1000,
+	}
+	doubled := bare
+	doubled.Messages = 2000
+	r := pair(t, artifact(harness.ArtifactSchema, bare), artifact(harness.ArtifactSchema, doubled), Thresholds{})
+	if r.Regressed != 1 {
+		t.Fatalf("2x effect without dists not flagged: %+v", r)
+	}
+	if mt := r.Cells[0].Metrics[0]; mt.StdErr != 0 {
+		t.Fatalf("dist-less pair grew a stderr: %+v", mt)
 	}
 }
 
@@ -114,20 +144,20 @@ func TestDiffSuccessRateWilson(t *testing.T) {
 	// 10/10 -> 9/10: Wilson intervals overlap, no verdict.
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 100, 1))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 9, 100, 1))
-	r := Diff(base, head, Thresholds{})
+	r := pair(t, base, head, Thresholds{})
 	if r.Regressed != 0 {
 		t.Fatalf("one lost trial flagged: %+v", r)
 	}
 	// 50/50 -> 5/50: intervals disjoint, regression.
 	base = artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 50, 50, 100, 1))
 	head = artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 50, 5, 100, 1))
-	r = Diff(base, head, Thresholds{})
+	r = pair(t, base, head, Thresholds{})
 	if r.Regressed != 1 {
 		t.Fatalf("success collapse not flagged: %+v", r)
 	}
 	got := r.Cells[0].Metrics[len(r.Cells[0].Metrics)-1]
-	if got.Metric != "success_rate" || got.Status != Regressed {
-		t.Fatalf("success metric diff %+v", got)
+	if got.Metric != "success_rate" || got.Status != Regressed || got.First != 1 || got.Last != 0.1 {
+		t.Fatalf("success metric trend %+v", got)
 	}
 }
 
@@ -140,26 +170,27 @@ func TestDiffSuccessCollapseAtGateTrialCounts(t *testing.T) {
 	for _, trials := range []int{6, 8} {
 		base := artifact(harness.ArtifactSchema, cell("revocable", "complete", 6, trials, trials, 100, 1))
 		head := artifact(harness.ArtifactSchema, cell("revocable", "complete", 6, trials, 0, 100, 1))
-		if r := Diff(base, head, Thresholds{}); r.Regressed != 1 {
+		if r := pair(t, base, head, Thresholds{}); r.Regressed != 1 {
 			t.Fatalf("total collapse at %d trials not flagged: %+v", trials, r)
 		}
 	}
 }
 
-func TestMarkdownZeroBaseRendersNew(t *testing.T) {
+// TestDiffZeroBaseRegresses: a metric appearing from zero is always a
+// change, with no finite relative delta.
+func TestDiffZeroBaseRegresses(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 0, 0))
 	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 50, 0))
-	r := Diff(base, head, Thresholds{})
+	r := pair(t, base, head, Thresholds{})
 	if r.Regressed != 4 {
 		t.Fatalf("metric appearing from zero not flagged: %+v", r)
 	}
-	md := r.Markdown()
-	if strings.Contains(md, "+0.0%") || !strings.Contains(md, "| new |") {
-		t.Fatalf("zero-base delta rendered misleadingly:\n%s", md)
+	if mt := r.Cells[0].Metrics[0]; mt.First != 0 || mt.Last != 50 || mt.RelDelta != 0 {
+		t.Fatalf("zero-base trend %+v", mt)
 	}
 }
 
-// TestDiffCellAlignment covers added/removed cells and key identity
+// TestDiffCellAlignment covers removed and added cells and key identity
 // including presumed_n.
 func TestDiffCellAlignment(t *testing.T) {
 	removed := cell("flood", "complete", 32, 5, 5, 400, 1)
@@ -170,15 +201,16 @@ func TestDiffCellAlignment(t *testing.T) {
 
 	base := artifact(harness.ArtifactSchema, kept, removed, presumed)
 	head := artifact(harness.ArtifactSchema, kept, added, presumed)
-	r := Diff(base, head, Thresholds{})
+	r := pair(t, base, head, Thresholds{})
 	if len(r.Cells) != 2 {
 		t.Fatalf("aligned cells %d, want 2", len(r.Cells))
 	}
 	if len(r.Removed) != 1 || r.Removed[0] != (Key{Protocol: "flood", Family: "complete", N: 32}) {
 		t.Fatalf("removed %+v", r.Removed)
 	}
-	if len(r.Added) != 1 || r.Added[0] != (Key{Protocol: "ire", Family: "cycle", N: 16}) {
-		t.Fatalf("added %+v", r.Added)
+	// Both one-sided cells are partial; only the base-side one is removed.
+	if len(r.Partial) != 2 || r.Partial[1] != (Key{Protocol: "ire", Family: "cycle", N: 16}) {
+		t.Fatalf("partial %+v", r.Partial)
 	}
 	if r.Cells[1].Key.PresumedN != 128 {
 		t.Fatalf("presumed cell misaligned: %+v", r.Cells[1].Key)
@@ -188,99 +220,26 @@ func TestDiffCellAlignment(t *testing.T) {
 	}
 }
 
-// TestDiffV1MeansOnlyDowngrade: a v1 artifact (no distributions) is
-// compared on means alone, flagged in the report, and still classifies
-// clear effects.
-func TestDiffV1MeansOnlyDowngrade(t *testing.T) {
-	v1cell := harness.ArtifactCell{
-		Protocol: "ire", Family: "expander", N: 64,
-		Trials: 10, Successes: 10,
-		Messages: 1000, Bits: 1000, Rounds: 1000, Charged: 1000,
-	}
-	base := artifact(harness.ArtifactSchemaV1, v1cell)
-	headCell := v1cell
-	headCell.Messages = 2000
-	head := artifact(harness.ArtifactSchemaV1, headCell)
-	r := Diff(base, head, Thresholds{})
-	if !r.MeansOnly {
-		t.Fatal("v1 pair not flagged means-only")
-	}
-	if r.Regressed != 1 {
-		t.Fatalf("means-only regression not flagged: %+v", r)
-	}
-	if md := r.Cells[0].Metrics[0]; md.StdErr != 0 {
-		t.Fatalf("means-only diff grew a stderr: %+v", md)
-	}
-	if !strings.Contains(r.Markdown(), "means-only comparison") {
-		t.Fatal("markdown missing downgrade note")
-	}
-
-	// Mixed v1 base / v2 head downgrades the same way.
-	r = Diff(base, artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 5)), Thresholds{})
-	if !r.MeansOnly {
-		t.Fatal("mixed-schema pair not flagged means-only")
-	}
-}
-
 func TestDiffDuplicateKeysPairByOccurrence(t *testing.T) {
 	a := cell("ire", "cycle", 16, 5, 5, 100, 1)
 	b := cell("ire", "cycle", 16, 5, 5, 200, 1)
 	base := artifact(harness.ArtifactSchema, a, b)
 	head := artifact(harness.ArtifactSchema, a, b, b)
-	r := Diff(base, head, Thresholds{})
+	r := pair(t, base, head, Thresholds{})
 	if len(r.Cells) != 2 || r.Regressed != 0 {
 		t.Fatalf("duplicate keys misaligned: %+v", r)
 	}
-	if len(r.Added) != 1 {
-		t.Fatalf("extra duplicate not reported added: %+v", r.Added)
+	if len(r.Partial) != 1 || len(r.Removed) != 0 {
+		t.Fatalf("extra head duplicate not reported partial only: %+v", r)
+	}
+	// The mirror: the head lost an occurrence, which the gate sees.
+	if r = pair(t, head, base, Thresholds{}); len(r.Removed) != 1 || r.Removed[0].Family != "cycle" {
+		t.Fatalf("lost duplicate occurrence not removed: %+v", r.Removed)
 	}
 }
 
-func TestMarkdownRendersChanges(t *testing.T) {
-	base := artifact(harness.ArtifactSchema,
-		cell("ire", "expander", 64, 10, 10, 1000, 1),
-		cell("flood", "complete", 32, 10, 10, 400, 1))
-	headCells := []harness.ArtifactCell{
-		cell("ire", "expander", 64, 10, 10, 2000, 1),
-		cell("flood", "complete", 32, 10, 10, 200, 1),
-	}
-	head := artifact(harness.ArtifactSchema, headCells...)
-	md := Diff(base, head, Thresholds{}).Markdown()
-	for _, want := range []string{
-		"## benchdiff", "regressed", "improved",
-		"ire expander/64", "flood complete/32", "🔴", "🟢",
-		"rel-tol 0.05", "sigmas 3",
-	} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
-func TestMarkdownAllUnchanged(t *testing.T) {
-	a := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 1))
-	md := Diff(a, a, Thresholds{}).Markdown()
-	if !strings.Contains(md, "All aligned metrics within thresholds") {
-		t.Fatalf("markdown missing all-clear:\n%s", md)
-	}
-}
-
-func TestReportJSONRoundTrips(t *testing.T) {
-	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 1000, 1))
-	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 10, 10, 2000, 1))
-	buf, err := Diff(base, head, Thresholds{}).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"regressed": 4`, `"base_schema"`, `"rel_tol": 0.05`} {
-		if !strings.Contains(string(buf), want) {
-			t.Fatalf("report JSON missing %s:\n%s", want, buf)
-		}
-	}
-}
-
-// TestDiffRealArtifactsSelf diffs a real orchestrated sweep against
-// itself: the full pipeline (run -> artifact -> diff) must come back
+// TestDiffRealArtifactsSelf classifies a real orchestrated sweep against
+// itself: the full pipeline (run -> artifact -> series) must come back
 // clean.
 func TestDiffRealArtifactsSelf(t *testing.T) {
 	specs := []harness.CellSpec{
@@ -295,9 +254,13 @@ func TestDiffRealArtifactsSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := harness.NewArtifact(o, specs, cells, 0)
-	r := Diff(a, a, Thresholds{})
-	if r.Regressed != 0 || r.Improved != 0 || len(r.Added)+len(r.Removed) != 0 {
-		t.Fatalf("self-diff not clean: %+v", r)
+	r := pair(t, a, a, Thresholds{})
+	if r.Regressed != 0 || r.Improved != 0 || r.Drifted != 0 || len(r.Removed)+len(r.Partial) != 0 {
+		t.Fatalf("self-series not clean: %+v", r)
+	}
+	// Real cells carry predictions, so both drift ratios are classified.
+	if got := len(r.Cells[0].Metrics); got != 7 {
+		t.Fatalf("%d metrics per real cell, want 7", got)
 	}
 }
 
@@ -310,10 +273,10 @@ func TestAdversaryKeyAlignment(t *testing.T) {
 	faulted.Adversary = "loss=0.1"
 	base := artifact(harness.ArtifactSchema, plain, faulted)
 
-	// Head with the same two cells: both align by key, nothing added.
-	r := Diff(base, base, Thresholds{})
-	if len(r.Cells) != 2 || len(r.Added)+len(r.Removed) != 0 {
-		t.Fatalf("v3 self-alignment wrong: %+v", r)
+	// Head with the same two cells: both align by key, nothing partial.
+	r := pair(t, base, base, Thresholds{})
+	if len(r.Cells) != 2 || len(r.Partial) != 0 {
+		t.Fatalf("self-alignment wrong: %+v", r)
 	}
 	if r.Cells[1].Key.Adversary != "loss=0.1" {
 		t.Fatalf("faulted key lost its adversary: %+v", r.Cells[1].Key)
@@ -325,26 +288,15 @@ func TestAdversaryKeyAlignment(t *testing.T) {
 	// Dropping the faulted cell from head reports it removed, not merged
 	// into the fault-free cell.
 	head := artifact(harness.ArtifactSchema, plain)
-	r = Diff(base, head, Thresholds{})
+	r = pair(t, base, head, Thresholds{})
 	if len(r.Cells) != 1 || len(r.Removed) != 1 || r.Removed[0].Adversary != "loss=0.1" {
 		t.Fatalf("faulted cell not tracked separately: %+v", r)
-	}
-
-	// A v2 base (descriptor-less cells) aligns against the v3 head's
-	// fault-free cell only.
-	v2 := artifact(harness.ArtifactSchemaV2, cell("ire", "expander", 64, 5, 5, 100, 1))
-	r = Diff(v2, base, Thresholds{})
-	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].Adversary != "loss=0.1" {
-		t.Fatalf("v2-vs-v3 alignment wrong: %+v", r)
-	}
-	if r.MeansOnly {
-		t.Fatal("v2-vs-v3 pair downgraded to means-only")
 	}
 }
 
 // TestProfileModeKeyAlignment: a cell whose profile regime switched between
 // base and head (exact → estimate, e.g. a sweep crossing the auto threshold)
-// reports as removed+added, never as a cost regression against the
+// reports as removed plus partial, never as a cost regression against the
 // other-regime sibling.
 func TestProfileModeKeyAlignment(t *testing.T) {
 	exact := cell("ire", "expander", 300, 5, 5, 100, 1)
@@ -352,34 +304,27 @@ func TestProfileModeKeyAlignment(t *testing.T) {
 	est.ProfileMode = "estimate"
 
 	// Same workload, different regime: no pairing, no regression.
-	r := Diff(artifact(harness.ArtifactSchema, exact), artifact(harness.ArtifactSchema, est), Thresholds{})
+	r := pair(t, artifact(harness.ArtifactSchema, exact), artifact(harness.ArtifactSchema, est), Thresholds{})
 	if len(r.Cells) != 0 || r.Regressed != 0 {
 		t.Fatalf("regime switch falsely aligned: %+v", r)
 	}
 	if len(r.Removed) != 1 || r.Removed[0].ProfileMode != "" {
 		t.Fatalf("exact cell not reported removed: %+v", r.Removed)
 	}
-	if len(r.Added) != 1 || r.Added[0].ProfileMode != "estimate" {
-		t.Fatalf("estimate cell not reported added: %+v", r.Added)
+	if len(r.Partial) != 2 || r.Partial[1].ProfileMode != "estimate" {
+		t.Fatalf("estimate cell not reported partial: %+v", r.Partial)
 	}
-	if !strings.Contains(r.Added[0].String(), "{estimate}") {
-		t.Fatalf("key render missing profile mode: %s", r.Added[0])
+	if !strings.Contains(r.Partial[1].String(), "{estimate}") {
+		t.Fatalf("key render missing profile mode: %s", r.Partial[1])
 	}
 
 	// Same regime on both sides still aligns cleanly, keeping the mode.
-	r = Diff(artifact(harness.ArtifactSchema, est), artifact(harness.ArtifactSchema, est), Thresholds{})
-	if len(r.Cells) != 1 || len(r.Added)+len(r.Removed) != 0 {
+	r = pair(t, artifact(harness.ArtifactSchema, est), artifact(harness.ArtifactSchema, est), Thresholds{})
+	if len(r.Cells) != 1 || len(r.Removed)+len(r.Partial) != 0 {
 		t.Fatalf("estimate self-alignment wrong: %+v", r)
 	}
 	if r.Cells[0].Key.ProfileMode != "estimate" {
 		t.Fatalf("aligned key lost its mode: %+v", r.Cells[0].Key)
-	}
-
-	// A v3 base (mode-less cells) aligns against the v4 head's exact cell.
-	v3 := artifact(harness.ArtifactSchemaV3, exact)
-	r = Diff(v3, artifact(harness.ArtifactSchema, exact, est), Thresholds{})
-	if len(r.Cells) != 1 || len(r.Added) != 1 || r.Added[0].ProfileMode != "estimate" {
-		t.Fatalf("v3-vs-v4 alignment wrong: %+v", r)
 	}
 }
 
@@ -395,16 +340,16 @@ func predCell(mean, predMsgs, predTime float64) harness.ArtifactCell {
 func TestDriftClassification(t *testing.T) {
 	base := artifact(harness.ArtifactSchema, predCell(100, 50, 50))
 	// Same measurement, same predictions: no drift.
-	r := Diff(base, base, Thresholds{})
+	r := pair(t, base, base, Thresholds{})
 	if r.Drifted != 0 || r.HasDrift() {
-		t.Fatalf("self-diff drifted: %+v", r)
+		t.Fatalf("self-series drifted: %+v", r)
 	}
 	found := 0
-	for _, md := range r.Cells[0].Metrics {
-		if md.Metric == "msgs_vs_pred" || md.Metric == "time_vs_pred" {
+	for _, mt := range r.Cells[0].Metrics {
+		if mt.Metric == "msgs_vs_pred" || mt.Metric == "time_vs_pred" {
 			found++
-			if md.Base != 2 || md.Head != 2 || md.Status != Unchanged {
-				t.Fatalf("drift metric wrong: %+v", md)
+			if mt.First != 2 || mt.Last != 2 || mt.Status != Unchanged {
+				t.Fatalf("drift metric wrong: %+v", mt)
 			}
 		}
 	}
@@ -415,51 +360,34 @@ func TestDriftClassification(t *testing.T) {
 	// Head ratio moves 2x (measured doubled, predictions fixed): drift in
 	// the away-from-bound direction.
 	head := artifact(harness.ArtifactSchema, predCell(200, 50, 50))
-	r = Diff(base, head, Thresholds{})
+	r = pair(t, base, head, Thresholds{})
 	if r.Drifted != 2 || !r.HasDrift() {
 		t.Fatalf("2x ratio change not flagged: %+v", r)
 	}
 	// Toward-the-bound movement drifts too (the ratio is a calibration,
 	// not a cost).
 	headDown := artifact(harness.ArtifactSchema, predCell(40, 50, 50))
-	if r = Diff(base, headDown, Thresholds{}); r.Drifted != 2 {
+	if r = pair(t, base, headDown, Thresholds{}); r.Drifted != 2 {
 		t.Fatalf("toward-bound drift not flagged: %+v", r)
 	}
 	// A wide tolerance clears it.
-	if r = Diff(base, head, Thresholds{DriftTol: 1.5}); r.Drifted != 0 {
+	if r = pair(t, base, head, Thresholds{DriftTol: 1.5}); r.Drifted != 0 {
 		t.Fatalf("drift flagged despite wide tolerance: %+v", r)
 	}
 	// Cells without predictions emit no drift metrics at all.
 	noPred := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 5, 5, 100, 1))
-	r = Diff(noPred, noPred, Thresholds{})
-	for _, md := range r.Cells[0].Metrics {
-		if md.Metric == "msgs_vs_pred" || md.Metric == "time_vs_pred" {
-			t.Fatalf("drift metric emitted without predictions: %+v", md)
+	r = pair(t, noPred, noPred, Thresholds{})
+	for _, mt := range r.Cells[0].Metrics {
+		if mt.Metric == "msgs_vs_pred" || mt.Metric == "time_vs_pred" {
+			t.Fatalf("drift metric emitted without predictions: %+v", mt)
 		}
 	}
-}
-
-// TestCSVRender: the CSV export carries identity columns, one row per
-// metric, and added/removed coverage rows.
-func TestCSVRender(t *testing.T) {
-	faulted := cell("ire", "expander", 64, 5, 3, 40, 1)
-	faulted.Adversary = "loss=0.1"
-	base := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 5, 5, 100, 1), faulted)
-	head := artifact(harness.ArtifactSchema, cell("ire", "expander", 64, 5, 5, 100, 1),
-		cell("flood", "cycle", 32, 5, 5, 10, 1))
-	out, err := Diff(base, head, Thresholds{}).CSV()
+	// Nor does a series where a middle point lacks them.
+	s, err := NewSeries([]harness.Artifact{base, noPred, head}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	// header + 5 metrics for the aligned cell + 1 added + 1 removed.
-	if len(lines) != 8 {
-		t.Fatalf("%d CSV lines, want 8:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "protocol,family,n,presumed_n,adversary,metric") {
-		t.Fatalf("header: %s", lines[0])
-	}
-	if !strings.Contains(out, "loss=0.1") || !strings.Contains(out, ",removed") || !strings.Contains(out, ",added") {
-		t.Fatalf("CSV missing identity or coverage rows:\n%s", out)
+	if r = s.Trends(Thresholds{}); len(r.Cells[0].Metrics) != 5 || r.Drifted != 0 {
+		t.Fatalf("ratio classified across a point without predictions: %+v", r.Cells[0].Metrics)
 	}
 }

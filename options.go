@@ -10,7 +10,7 @@ import (
 // live in one shared core.ProtoConfig, the configuration currency the
 // registry consumes — Run overlays the network's profiled quantities onto
 // whatever the options left at zero, which is the single default-filling
-// path every protocol (and every Elect* wrapper) goes through.
+// path every protocol goes through.
 type options struct {
 	seed      uint64
 	scheduler Scheduler
