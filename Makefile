@@ -45,10 +45,14 @@ faults-smoke:
 # Epoch smoke: the quick repeated-election scenarios (seed-chained crash-
 # recover and revoke histories under the static and traffic-adaptive
 # adversary rungs) end to end through anonlead.RunEpochs, archived as the
-# separate BENCH_epochs.json artifact. CI's bench-smoke job runs this next
-# to the fault curves.
+# separate BENCH_epochs.json artifact and gated against the committed
+# testdata/BENCH_epochs_baseline.json like the sweep (lereport_epochs.md
+# holds the verdicts). CI's bench-smoke job runs this next to the fault
+# curves.
 epochs-smoke:
 	$(GO) run ./cmd/lebench -exp epochs -quick -parallel -json BENCH_epochs.json
+	$(GO) run ./cmd/lereport -fail-on regressed,removed -out lereport_epochs.md \
+		testdata/BENCH_epochs_baseline.json BENCH_epochs.json
 
 # Scaling smoke: one 100k-node expander cell under the streaming estimate
 # regime, run twice so the second run demonstrates the profile-cache hit
@@ -103,11 +107,13 @@ gate: bench-artifact
 report: bench-artifact
 	$(GO) run ./cmd/lereport -out REPORT.md BENCH_harness.json
 
-# Refresh the committed baseline after an intentional perf/complexity
-# change (see README "Refreshing the baseline"); commit both files. The
+# Refresh the committed baselines (the gate sweep and the epoch scenarios)
+# after an intentional perf/complexity change (see README "Refreshing the
+# baseline"); commit all three files. The
 # report render is regenerated alongside so the golden tests stay in sync.
 baseline:
 	$(GO) run ./cmd/lebench -exp sweeps -quick -parallel -json testdata/BENCH_baseline.json
+	$(GO) run ./cmd/lebench -exp epochs -quick -parallel -json testdata/BENCH_epochs_baseline.json
 	$(GO) run ./cmd/lereport -title "anonlead reproduction report — baseline" \
 		-out testdata/REPORT_baseline.md testdata/BENCH_baseline.json
 
@@ -148,7 +154,7 @@ ci: build lint test race perfbench-test bench
 
 clean:
 	rm -f BENCH_harness.json BENCH_scaling.json BENCH_dist.json BENCH_local.json REPORT.md lereport.md
-	rm -f BENCH_epochs.json
+	rm -f BENCH_epochs.json lereport_epochs.md
 	rm -f BENCH_obs.json TRACE_lebench.json OBS_metrics.json CPU_lebench.pprof REPORT_obs.md
 	rm -f DIST_demo.json
 	$(GO) clean -testcache

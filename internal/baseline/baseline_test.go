@@ -1,10 +1,11 @@
 package baseline
 
 import (
+	"fmt"
 	"testing"
 
 	"anonlead/internal/graph"
-
+	"anonlead/internal/rng"
 	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
 )
@@ -249,19 +250,6 @@ func TestWalkNotifyDeterministic(t *testing.T) {
 	}
 }
 
-func TestSortedKeysHelpers(t *testing.T) {
-	m := map[uint64]int{5: 1, 2: 1, 9: 1}
-	keys := sortedKeys(m)
-	if len(keys) != 3 || keys[0] != 2 || keys[1] != 5 || keys[2] != 9 {
-		t.Fatalf("sortedKeys %v", keys)
-	}
-	mc := map[uint64][]int{7: nil, 1: nil}
-	keysC := sortedKeysCounts(mc)
-	if len(keysC) != 2 || keysC[0] != 1 || keysC[1] != 7 {
-		t.Fatalf("sortedKeysCounts %v", keysC)
-	}
-}
-
 func TestPayloadBits(t *testing.T) {
 	if (wnTokenMsg{orig: 1023, count: 7}).Bits() != 10+3 {
 		t.Fatalf("token bits %d", (wnTokenMsg{orig: 1023, count: 7}).Bits())
@@ -302,10 +290,124 @@ func TestWalkNotifyTokenConservationDuringWalkPhase(t *testing.T) {
 		}
 		total := 0
 		for v := 0; v < g.N(); v++ {
-			total += nw.Machine(v).(*WalkNotifyMachine).parked[maxCand]
+			for _, tok := range nw.Machine(v).(*WalkNotifyMachine).parked {
+				if tok.orig == maxCand {
+					total += tok.count
+				}
+			}
 		}
 		if total > p.beta {
 			t.Fatalf("round %d: %d parked tokens of max candidate exceed beta %d", step, total, p.beta)
 		}
+	}
+}
+
+// inboxCheckedWN asserts on every inbox that each port carries token
+// messages in strictly ascending origin order with positive counts, which
+// is what ascending departure rows produce once the simulator stable-sorts
+// the inbox by (port, channel).
+type inboxCheckedWN struct {
+	*WalkNotifyMachine
+	t *testing.T
+}
+
+func (w inboxCheckedWN) Step(ctx *sim.Context, inbox []sim.Packet) {
+	last := map[int]uint64{}
+	for _, pkt := range inbox {
+		msg, ok := pkt.Payload.(wnTokenMsg)
+		if !ok {
+			continue
+		}
+		if prev, seen := last[pkt.Port]; seen && prev >= msg.orig {
+			w.t.Errorf("round %d port %d: token origin %d after %d", ctx.Round(), pkt.Port, msg.orig, prev)
+		}
+		if msg.count <= 0 {
+			w.t.Errorf("round %d port %d: token count %d", ctx.Round(), pkt.Port, msg.count)
+		}
+		last[pkt.Port] = msg.orig
+	}
+	w.WalkNotifyMachine.Step(ctx, inbox)
+}
+
+// TestWalkNotifyStateOrderInvariants checks, after every round of a run
+// under both schedulers, that each node's parked tokens are strictly
+// ascending by origin with positive counts and all of the node's mark
+// (smaller ones die when the mark rises), and that no departure row or
+// count survives the round.
+func TestWalkNotifyStateOrderInvariants(t *testing.T) {
+	g := graph.Torus(6, 6)
+	cfg := WalkNotifyConfig{N: g.N(), TMix: 6, C: 4}
+	factory, err := NewWalkNotifyFactory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := func(node, degree int, r *rng.RNG) sim.Machine {
+		return inboxCheckedWN{factory(node, degree, r).(*WalkNotifyMachine), t}
+	}
+	var outs [2][]WalkNotifyOutput
+	for i, sched := range []sim.Scheduler{sim.Sequential, sim.WorkerPool} {
+		nw := sim.New(sim.Config{Graph: g, Seed: 4, Scheduler: sched, Workers: 2}, checked)
+		parkedSeen := false
+		for round := 0; nw.Step(); round++ {
+			for v := 0; v < g.N(); v++ {
+				m := nw.Machine(v).(inboxCheckedWN).WalkNotifyMachine
+				for j, tok := range m.parked {
+					if tok.count <= 0 || tok.orig != m.maxMark || (j > 0 && m.parked[j-1].orig >= tok.orig) {
+						t.Fatalf("sched %d round %d node %d: parked %v (mark %d)", sched, round, v, m.parked, m.maxMark)
+					}
+					parkedSeen = true
+				}
+				if len(m.departs) != 0 {
+					t.Fatalf("sched %d round %d node %d: %d departure rows left", sched, round, v, len(m.departs))
+				}
+				for j, c := range m.counts {
+					if c != 0 {
+						t.Fatalf("sched %d round %d node %d: departure count %d left at %d", sched, round, v, c, j)
+					}
+				}
+			}
+		}
+		if !parkedSeen {
+			t.Fatalf("sched %d: no node parked a token; the check ran on nothing", sched)
+		}
+		for v := 0; v < g.N(); v++ {
+			outs[i] = append(outs[i], nw.Machine(v).(inboxCheckedWN).Output())
+		}
+	}
+	for v := range outs[0] {
+		if outs[0][v] != outs[1][v] {
+			t.Fatalf("node %d differs across schedulers", v)
+		}
+	}
+}
+
+// TestWalkNotifyDepartRowsAscending drives departRow directly with origins
+// out of order: rows come back ascending and unique, and a second round
+// reuses the first round's buffer without allocating.
+func TestWalkNotifyDepartRowsAscending(t *testing.T) {
+	m := &WalkNotifyMachine{}
+	round := func() {
+		for _, orig := range []uint64{5, 2, 9, 2, 7} {
+			m.departRow(orig, 3)[int(orig)%3]++
+		}
+	}
+	round()
+	if fmt.Sprint(m.departs) != "[2 5 7 9]" {
+		t.Fatalf("departure rows %v, want [2 5 7 9]", m.departs)
+	}
+	// Each origin o counted once on port o%3, origin 2 twice.
+	if fmt.Sprint(m.counts) != "[0 0 2 0 0 1 0 1 0 1 0 0]" {
+		t.Fatalf("departure counts %v", m.counts)
+	}
+	if len(m.counts) != 4*3 {
+		t.Fatalf("%d counts for 4 rows of 3 ports", len(m.counts))
+	}
+	reset := func() {
+		clear(m.counts)
+		m.departs = m.departs[:0]
+	}
+	reset()
+	if avg := testing.AllocsPerRun(20, func() { round(); reset() }); avg != 0 {
+		t.Fatalf("a warmed round allocates %.1f objects, want 0", avg)
 	}
 }

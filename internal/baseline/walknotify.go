@@ -3,7 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"anonlead/internal/congest"
 	"anonlead/internal/rng"
@@ -110,11 +110,19 @@ type WalkNotifyMachine struct {
 
 	maxMark   uint64
 	revPort   map[uint64]int
-	parked    map[uint64]int
+	parked    []wnTokens // tokens held here, ascending by origin
+	departs   []uint64   // this round's departing origins, ascending
+	counts    []int      // deg departure counts per origin; zero between rounds
 	killSent  map[uint64]bool
 	killQueue []uint64 // kills to emit this round (sorted, deduped)
 	sprayed   bool
 	halted    bool
+}
+
+// wnTokens is count walk tokens of candidate orig.
+type wnTokens struct {
+	orig  uint64
+	count int
 }
 
 // NewWalkNotifyFactory returns a sim.Factory for the baseline.
@@ -128,7 +136,6 @@ func NewWalkNotifyFactory(cfg WalkNotifyConfig) (sim.Factory, error) {
 		m := arena.New()
 		m.p, m.r = p, r
 		m.revPort = make(map[uint64]int)
-		m.parked = make(map[uint64]int)
 		m.killSent = make(map[uint64]bool)
 		return m
 	}, nil
@@ -194,22 +201,25 @@ func (m *WalkNotifyMachine) receiveTokens(port int, msg wnTokenMsg) {
 	switch {
 	case c < m.maxMark:
 		m.scheduleKill(c) // arriving tokens die on a larger mark
+		return
 	case c > m.maxMark:
 		m.maxMark = c
-		// Parked tokens of smaller candidates die under the new mark.
-		for d := range m.parked {
-			if d < c {
-				m.scheduleKill(d)
-				delete(m.parked, d)
-			}
+		// Parked tokens of smaller candidates die under the new mark:
+		// all of them, since every parked origin is at most the old mark.
+		for _, t := range m.parked {
+			m.scheduleKill(t.orig)
 		}
+		m.parked = m.parked[:0]
 		// A smaller candidate origin is eliminated on the spot.
 		if m.out.Candidate && m.out.ID < c {
 			m.out.Eliminated = true
 		}
-		m.parked[c] += msg.count
-	default:
-		m.parked[c] += msg.count
+	}
+	// c is the mark, so it is the largest parked origin or a new one.
+	if last := len(m.parked) - 1; last >= 0 && m.parked[last].orig == c {
+		m.parked[last].count += msg.count
+	} else {
+		m.parked = append(m.parked, wnTokens{orig: c, count: msg.count})
 	}
 }
 
@@ -241,7 +251,7 @@ func (m *WalkNotifyMachine) emitKills(ctx *sim.Context) {
 	if len(m.killQueue) == 0 {
 		return
 	}
-	sort.Slice(m.killQueue, func(i, j int) bool { return m.killQueue[i] < m.killQueue[j] })
+	slices.Sort(m.killQueue)
 	for _, orig := range m.killQueue {
 		if p, ok := m.revPort[orig]; ok {
 			ctx.Send(p, 0, wnKillMsg{orig: orig})
@@ -258,68 +268,55 @@ func (m *WalkNotifyMachine) moveTokens(ctx *sim.Context) {
 	if deg == 0 {
 		return
 	}
-	var outCounts map[uint64][]int
-	add := func(orig uint64, port int) {
-		if outCounts == nil {
-			outCounts = make(map[uint64][]int)
-		}
-		row := outCounts[orig]
-		if row == nil {
-			row = make([]int, deg)
-			outCounts[orig] = row
-		}
-		row[port]++
-	}
 	if !m.sprayed {
 		m.sprayed = true
 		if m.out.Candidate {
+			row := m.departRow(m.out.ID, deg)
 			for i := 0; i < m.p.beta; i++ {
-				add(m.out.ID, m.r.Intn(deg))
+				row[m.r.Intn(deg)]++
 			}
 		}
 	}
-	for _, orig := range sortedKeys(m.parked) {
-		count := m.parked[orig]
+	stay := m.parked[:0]
+	for _, t := range m.parked {
+		row := m.departRow(t.orig, deg)
 		kept := 0
-		for i := 0; i < count; i++ {
+		for i := 0; i < t.count; i++ {
 			if m.r.Coin() {
 				kept++
 				continue
 			}
-			add(orig, m.r.Intn(deg))
+			row[m.r.Intn(deg)]++
 		}
-		if kept == 0 {
-			delete(m.parked, orig)
-		} else {
-			m.parked[orig] = kept
+		if kept > 0 {
+			stay = append(stay, wnTokens{orig: t.orig, count: kept})
 		}
 	}
-	for _, orig := range sortedKeysCounts(outCounts) {
-		row := outCounts[orig]
+	m.parked = stay
+	for j, orig := range m.departs {
+		row := m.counts[j*deg : (j+1)*deg]
 		for p, c := range row {
 			if c > 0 {
 				ctx.Send(p, 0, wnTokenMsg{orig: orig, count: c})
+				row[p] = 0
 			}
 		}
 	}
+	m.departs = m.departs[:0]
 }
 
-// sortedKeys returns map keys in ascending order (determinism across
-// schedulers).
-func sortedKeys(m map[uint64]int) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// departRow returns this round's departure counts of orig, valid until the
+// next call, inserting a zeroed row at its ascending position if needed.
+func (m *WalkNotifyMachine) departRow(orig uint64, deg int) []int {
+	i, ok := slices.BinarySearch(m.departs, orig)
+	if !ok {
+		n := len(m.departs) * deg
+		if n == len(m.counts) {
+			m.counts = append(m.counts, make([]int, deg)...)
+		}
+		copy(m.counts[(i+1)*deg:], m.counts[i*deg:n])
+		clear(m.counts[i*deg : (i+1)*deg])
+		m.departs = slices.Insert(m.departs, i, orig)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedKeysCounts(m map[uint64][]int) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	return m.counts[i*deg : (i+1)*deg]
 }

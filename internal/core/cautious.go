@@ -52,6 +52,8 @@ type bcastExec struct {
 	// grewThisRound marks children whose size report arrived this round,
 	// for the prose's targeted re-activation rule.
 	grewThisRound []int
+	ccSent        bool   // the convergecast has forwarded ccLast to the parent
+	ccLast        uint64 // last max walk ID the convergecast forwarded
 }
 
 // newRootExec returns the execution state for the initiating candidate.
@@ -178,7 +180,7 @@ func (e *bcastExec) prepare(ctx *sim.Context, r *rng.RNG) {
 	// Territory cap: flood <stop> once through the local tree links.
 	if e.threshold >= e.cap && e.status != statusStopped {
 		e.status = statusStopped
-		if e.isRoot {
+		if e.isRoot && ctx.Tracing() {
 			ctx.Trace("territory-cap", fmt.Sprintf("source=%d confirmed=%d cap=%d", e.source, e.confirmed, e.cap))
 		}
 	}

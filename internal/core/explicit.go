@@ -72,13 +72,7 @@ func NewExplicitFactory(cfg ExplicitConfig) (sim.Factory, error) {
 	}
 	return func(node, degree int, r *rng.RNG) sim.Machine {
 		return &ExplicitMachine{
-			inner: &IREMachine{
-				p:       p,
-				r:       r,
-				execs:   make(map[uint64]*bcastExec),
-				ccSent:  make(map[uint64]uint64),
-				chained: true,
-			},
+			inner:     &IREMachine{p: p, r: r, chained: true},
 			announceN: announce,
 			out:       ExplicitOutput{ParentPort: -1},
 		}

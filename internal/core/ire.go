@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"anonlead/internal/rng"
 	"anonlead/internal/sim"
@@ -160,10 +162,10 @@ type IREMachine struct {
 	p       ireParams
 	r       *rng.RNG
 	out     IREOutput
-	execs   map[uint64]*bcastExec // cautious-broadcast executions by source
-	tokens  int                   // walk tokens currently held
-	walked  bool                  // initial token spray done
-	ccSent  map[uint64]uint64     // per-execution last ID convergecast to parent
+	execs   []*bcastExec // cautious-broadcast executions, ascending by source
+	tokens  int          // walk tokens currently held
+	walked  bool         // initial token spray done
+	counts  []int        // per-port walk departures; all zero between rounds
 	halted  bool
 	chained bool // suppress ctx.Halt: a wrapper protocol continues after decide
 }
@@ -180,8 +182,6 @@ func NewIREFactory(cfg IREConfig) (sim.Factory, error) {
 	return func(node, degree int, r *rng.RNG) sim.Machine {
 		m := arena.New()
 		m.p, m.r = p, r
-		m.execs = make(map[uint64]*bcastExec)
-		m.ccSent = make(map[uint64]uint64)
 		return m
 	}, nil
 }
@@ -206,10 +206,13 @@ func (m *IREMachine) Params() (x, bcastLen, walkLen, capSize, totalRounds int) {
 func (m *IREMachine) Init(ctx *sim.Context) {
 	m.out.ID = 1 + m.r.Uint64n(m.p.maxID)
 	m.out.Candidate = m.r.Bernoulli(m.p.candProb)
+	m.counts = make([]int, ctx.Degree())
 	if m.out.Candidate {
 		m.out.MaxIDSeen = m.out.ID
-		m.execs[m.out.ID] = newRootExec(m.out.ID, ctx.Degree(), m.p.capSize)
-		ctx.Trace("candidate", fmt.Sprintf("id=%d", m.out.ID))
+		m.execs = append(m.execs, newRootExec(m.out.ID, ctx.Degree(), m.p.capSize))
+		if ctx.Tracing() {
+			ctx.Trace("candidate", fmt.Sprintf("id=%d", m.out.ID))
+		}
 	}
 }
 
@@ -236,7 +239,7 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 
 	switch {
 	case round < m.p.bcastLen:
-		for _, e := range m.execOrder() {
+		for _, e := range m.execs {
 			e.prepare(ctx, m.r)
 		}
 	case round >= m.p.total:
@@ -253,32 +256,22 @@ func (m *IREMachine) Step(ctx *sim.Context, inbox []sim.Packet) {
 // handleBroadcast routes a cautious-broadcast message to its execution,
 // creating child state on a fresh invite.
 func (m *IREMachine) handleBroadcast(ctx *sim.Context, port int, msg bcMsg) {
-	e, ok := m.execs[msg.source]
-	if !ok {
-		if msg.kind != bcInvite {
-			return // straggler for an execution we never joined
-		}
-		e = newChildExec(msg.source, ctx.Degree(), port, m.p.capSize)
-		m.execs[msg.source] = e
-		m.out.JoinedTerritories++
+	i, ok := m.findExec(msg.source)
+	if ok {
+		m.execs[i].handle(port, msg)
 		return
 	}
-	e.handle(port, msg)
+	if msg.kind != bcInvite {
+		return // straggler for an execution we never joined
+	}
+	m.execs = slices.Insert(m.execs, i, newChildExec(msg.source, ctx.Degree(), port, m.p.capSize))
+	m.out.JoinedTerritories++
 }
 
-// execOrder returns executions in ascending source order so behavior is
-// identical across schedulers (map iteration is randomized).
-func (m *IREMachine) execOrder() []*bcastExec {
-	order := make([]*bcastExec, 0, len(m.execs))
-	for _, e := range m.execs {
-		order = append(order, e)
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j].source < order[j-1].source; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order
+// findExec returns where the execution for source is, or would be
+// inserted, in execs (ascending by source), and whether it exists.
+func (m *IREMachine) findExec(source uint64) (int, bool) {
+	return slices.BinarySearchFunc(m.execs, source, func(e *bcastExec, s uint64) int { return cmp.Compare(e.source, s) })
 }
 
 // stepWalks advances the random-walk phase (Algorithm 5 random-walk): the
@@ -290,7 +283,7 @@ func (m *IREMachine) stepWalks(ctx *sim.Context) {
 	if deg == 0 {
 		return
 	}
-	counts := make([]int, deg)
+	counts := m.counts
 	if !m.walked {
 		m.walked = true
 		if m.out.Candidate {
@@ -313,6 +306,7 @@ func (m *IREMachine) stepWalks(ctx *sim.Context) {
 	for p, c := range counts {
 		if c > 0 {
 			ctx.Send(p, walkChannel, walkMsg{id: m.out.MaxIDSeen, count: c})
+			counts[p] = 0
 		}
 	}
 }
@@ -320,14 +314,14 @@ func (m *IREMachine) stepWalks(ctx *sim.Context) {
 // stepConvergecast climbs each joined tree with the current maximum walk
 // ID, sending only on change (see package doc fidelity note).
 func (m *IREMachine) stepConvergecast(ctx *sim.Context) {
-	for _, e := range m.execOrder() {
+	for _, e := range m.execs {
 		if e.isRoot || e.parent < 0 {
 			continue
 		}
-		if last, ok := m.ccSent[e.source]; ok && last >= m.out.MaxIDSeen {
+		if e.ccSent && e.ccLast >= m.out.MaxIDSeen {
 			continue
 		}
-		m.ccSent[e.source] = m.out.MaxIDSeen
+		e.ccSent, e.ccLast = true, m.out.MaxIDSeen
 		ctx.Send(e.parent, chanOf(e.source), ccMsg{source: e.source, id: m.out.MaxIDSeen})
 	}
 }
@@ -340,11 +334,11 @@ func (m *IREMachine) decide(ctx *sim.Context, round int) {
 	m.halted = true
 	m.out.Leader = !m.p.broadcastOnly && m.out.Candidate && m.out.MaxIDSeen == m.out.ID
 	if m.out.Candidate {
-		if e, ok := m.execs[m.out.ID]; ok {
-			m.out.Territory = e.confirmed
+		if i, ok := m.findExec(m.out.ID); ok {
+			m.out.Territory = m.execs[i].confirmed
 		}
 	}
-	if m.out.Leader {
+	if m.out.Leader && ctx.Tracing() {
 		ctx.Trace("leader", fmt.Sprintf("id=%d territory=%d", m.out.ID, m.out.Territory))
 	}
 	m.out.HaltRound = round

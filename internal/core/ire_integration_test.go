@@ -281,3 +281,55 @@ func TestIREPayloadBitsPositive(t *testing.T) {
 		t.Fatal("invite should cost more than control messages")
 	}
 }
+
+// TestIREStateOrderInvariants checks, after every round of a run under
+// both schedulers, that each node's cautious-broadcast executions are
+// strictly ascending by source (so visiting them in slice order is the
+// deterministic order) and that the per-port walk buffer is all zero
+// between rounds.
+func TestIREStateOrderInvariants(t *testing.T) {
+	g, err := graph.RandomRegular(64, 6, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := profiledConfig(t, g)
+	cfg.C = 4 // more candidates, so territories overlap
+	factory, err := NewIREFactory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2][]IREOutput
+	for i, sched := range []sim.Scheduler{sim.Sequential, sim.WorkerPool} {
+		nw := sim.New(sim.Config{Graph: g, Seed: 3, Scheduler: sched, Workers: 2}, factory)
+		maxExecs := 0
+		for round := 0; nw.Step(); round++ {
+			for v := 0; v < g.N(); v++ {
+				m := nw.Machine(v).(*IREMachine)
+				for j := 1; j < len(m.execs); j++ {
+					if m.execs[j-1].source >= m.execs[j].source {
+						t.Fatalf("sched %d round %d node %d: execs not strictly ascending at %d", sched, round, v, j)
+					}
+				}
+				for p, c := range m.counts {
+					if c != 0 {
+						t.Fatalf("sched %d round %d node %d: walk count %d left on port %d", sched, round, v, c, p)
+					}
+				}
+				if len(m.execs) > maxExecs {
+					maxExecs = len(m.execs)
+				}
+			}
+		}
+		if maxExecs < 2 {
+			t.Fatalf("sched %d: no node joined two executions; the order check ran on nothing", sched)
+		}
+		for v := 0; v < g.N(); v++ {
+			outs[i] = append(outs[i], nw.Machine(v).(*IREMachine).Output())
+		}
+	}
+	for v := range outs[0] {
+		if outs[0][v] != outs[1][v] {
+			t.Fatalf("node %d differs across schedulers", v)
+		}
+	}
+}

@@ -266,6 +266,8 @@ type RevocableMachine struct {
 	tau     float64
 	share   float64 // 1/(2k^{1+ε})
 	degCap  float64 // k^{1+ε} degree alarm level
+	potStep int     // ⌈log₂(2k^{1+ε})⌉ potential bits gained per step
+	pWhite  float64 // p(k), the white-node probability
 	idRange uint64
 
 	// Algorithm 7 per-iteration state.
@@ -322,8 +324,10 @@ func (m *RevocableMachine) startEstimate() {
 	m.rK = m.p.rOf(m.k)
 	m.dissK = m.p.dissOf(m.k)
 	m.tau = m.p.tauOf(m.k)
-	m.share = 1 / (2 * m.p.kPow(m.k))
 	m.degCap = m.p.kPow(m.k)
+	m.share = 1 / (2 * m.degCap)
+	m.potStep = int(math.Ceil(math.Log2(2 * m.degCap)))
+	m.pWhite = m.p.pOf(m.k)
 	m.idRange = m.p.idRangeOf(m.k)
 	m.iter = 0
 	m.status = m.status[:0]
@@ -333,7 +337,7 @@ func (m *RevocableMachine) startEstimate() {
 // startIteration begins one certification iteration: sample color, reset
 // potential and flags (Algorithm 6 line 10, Algorithm 7 lines 2-4).
 func (m *RevocableMachine) startIteration() {
-	white := m.r.Bernoulli(m.p.pOf(m.k))
+	white := m.r.Bernoulli(m.pWhite)
 	m.c = white
 	m.q = true
 	if white {
@@ -411,7 +415,7 @@ func (m *RevocableMachine) foldDiffusionInbox(ctx *sim.Context, inbox []sim.Pack
 	}
 	if m.q && float64(deg) <= m.degCap && allProbing && got == deg {
 		m.phi += sum*m.share - float64(deg)*m.phi*m.share
-		m.potBits = maxBits + int(math.Ceil(math.Log2(2*m.p.kPow(m.k))))
+		m.potBits = maxBits + m.potStep
 	} else {
 		m.q = false
 		m.phi = 1
@@ -479,7 +483,9 @@ func (m *RevocableMachine) decide(ctx *sim.Context) {
 		// Line 16: adopt self as provisional leader; dissemination in the
 		// next iterations revokes it if a better certificate exists.
 		m.idldr, m.kldr = m.id, m.bigK
-		ctx.Trace("choose", fmt.Sprintf("id=%d k=%d", m.id, m.bigK))
+		if ctx.Tracing() {
+			ctx.Trace("choose", fmt.Sprintf("id=%d k=%d", m.id, m.bigK))
+		}
 	}
 	m.refreshLeader()
 }

@@ -6,6 +6,7 @@ import (
 
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
+	"anonlead/internal/trace"
 )
 
 // testMsg is a payload with an explicit bit size.
@@ -388,6 +389,44 @@ func BenchmarkRoundOverheadCycle1024(b *testing.B) {
 		if !nw.Step() {
 			b.StopTimer()
 			return
+		}
+	}
+}
+
+// tracingProbe records what Context.Tracing reported at Init and on the
+// first step, and traces one event each time.
+type tracingProbe struct{ seen []bool }
+
+func (m *tracingProbe) Init(ctx *Context) {
+	m.seen = append(m.seen, ctx.Tracing())
+	ctx.Trace("probe", "init")
+}
+
+func (m *tracingProbe) Step(ctx *Context, inbox []Packet) {
+	m.seen = append(m.seen, ctx.Tracing())
+	ctx.Trace("probe", "step")
+	ctx.Halt()
+}
+
+// TestContextTracing pins that Tracing is true exactly when the network
+// has a recorder, for both Init and Step contexts.
+func TestContextTracing(t *testing.T) {
+	g := graph.Cycle(3)
+	for _, rec := range []*trace.Ring{nil, trace.NewRing(16)} {
+		cfg := Config{Graph: g}
+		if rec != nil {
+			cfg.Trace = rec
+		}
+		nw := New(cfg, func(node, degree int, r *rng.RNG) Machine { return &tracingProbe{} })
+		nw.Run(2)
+		for v := 0; v < g.N(); v++ {
+			seen := nw.Machine(v).(*tracingProbe).seen
+			if len(seen) != 2 || seen[0] != (rec != nil) || seen[1] != (rec != nil) {
+				t.Fatalf("recorder %v, node %d: Tracing reported %v", rec != nil, v, seen)
+			}
+		}
+		if rec != nil && rec.Count("probe") != int64(2*g.N()) {
+			t.Fatalf("traced %d probe events, want %d", rec.Count("probe"), 2*g.N())
 		}
 	}
 }
