@@ -31,8 +31,9 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# Bench smoke: every benchmark once. BenchmarkHarnessSweep writes
-# BENCH_harness.json, which CI uploads for cross-PR perf tracking.
+# Bench smoke: every benchmark once, to catch bit-rot in the benchmarks.
+# It writes no files; the BENCH_harness.json gate artifact comes from
+# bench-artifact.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -57,8 +58,7 @@ epochs-smoke:
 # Scaling smoke: one 100k-node expander cell under the streaming estimate
 # regime, run twice so the second run demonstrates the profile-cache hit
 # (cold cell budget: well under a minute; the repeat collapses to trial
-# cost). CI's bench-smoke job runs this and archives BENCH_scaling.json
-# next to BENCH_harness.json.
+# cost). CI's bench-smoke job runs this and archives BENCH_scaling.json.
 scaling-smoke:
 	$(GO) run ./cmd/lebench -exp scaling -quick -json BENCH_scaling.json
 

@@ -21,43 +21,54 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"anonlead"
 	"anonlead/internal/adversary"
-	"anonlead/internal/baseline"
-	"anonlead/internal/core"
 	"anonlead/internal/graph"
 	"anonlead/internal/harness"
 	"anonlead/internal/obs"
 	"anonlead/internal/rng"
 	"anonlead/internal/sim"
-	"anonlead/internal/spectral"
 )
 
-// benchCell prepares a profiled workload graph for benchmarks.
-func benchCell(b *testing.B, family string, n int) (*graph.Graph, *spectral.Profile) {
+// benchCell builds the workload network behind sweep cell (family, n) at
+// seed 1 and profiles it before any timer starts.
+func benchCell(b *testing.B, family string, n int) (*anonlead.Network, anonlead.Profile) {
 	b.Helper()
-	w := harness.Workload{Family: family, N: n}
-	g, err := w.BuildGraph(1)
+	nw, err := anonlead.NewNetwork(family, n, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	prof, err := spectral.ProfileGraph(g)
+	prof, err := nw.Profile(anonlead.ProfileExact)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g, prof
+	return nw, prof
 }
 
-// reportTrial attaches protocol-cost metrics to the benchmark output.
-func reportTrial(b *testing.B, sumMsgs, sumBits, sumRounds, sumCharged float64) {
+// benchElections runs b.N elections of proto on nw at seeds 1..b.N and
+// attaches the protocol costs per election to the benchmark output.
+// Callers pass every profiled input explicitly, so the timed loop never
+// profiles.
+func benchElections(b *testing.B, nw *anonlead.Network, proto string, opts ...anonlead.Option) {
 	b.Helper()
+	var msgs, bits, rounds, charged float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := nw.Run(context.Background(), proto, append([]anonlead.Option{anonlead.WithSeed(uint64(i) + 1)}, opts...)...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs += float64(out.Metrics.Messages)
+		bits += float64(out.Metrics.Bits)
+		rounds += float64(out.Rounds)
+		charged += float64(out.Metrics.ChargedRounds)
+	}
 	n := float64(b.N)
-	b.ReportMetric(sumMsgs/n, "msgs/election")
-	b.ReportMetric(sumBits/n, "bits/election")
-	b.ReportMetric(sumRounds/n, "rounds/election")
-	b.ReportMetric(sumCharged/n, "charged/election")
+	b.ReportMetric(msgs/n, "msgs/election")
+	b.ReportMetric(bits/n, "bits/election")
+	b.ReportMetric(rounds/n, "rounds/election")
+	b.ReportMetric(charged/n, "charged/election")
 }
 
 // BenchmarkTable1IRE measures the paper's Section 4 protocol (Table 1 row
@@ -75,21 +86,9 @@ func BenchmarkTable1IRE(b *testing.B) {
 	}
 	for _, c := range cells {
 		b.Run(fmt.Sprintf("%s/n=%d", c.family, c.n), func(b *testing.B) {
-			g, prof := benchCell(b, c.family, c.n)
-			cfg := core.IREConfig{N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance}
-			var msgs, bits, rounds, charged float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunIRETrial(g, cfg, uint64(i)+1, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += float64(trial.Metrics.Messages)
-				bits += float64(trial.Metrics.Bits)
-				rounds += float64(trial.Rounds)
-				charged += float64(trial.Metrics.ChargedRounds)
-			}
-			reportTrial(b, msgs, bits, rounds, charged)
+			nw, prof := benchCell(b, c.family, c.n)
+			benchElections(b, nw, anonlead.ProtoIRE,
+				anonlead.WithMixingTime(prof.MixingTime), anonlead.WithConductance(prof.Conductance))
 		})
 	}
 }
@@ -107,21 +106,8 @@ func BenchmarkTable1Gilbert(b *testing.B) {
 	}
 	for _, c := range cells {
 		b.Run(fmt.Sprintf("%s/n=%d", c.family, c.n), func(b *testing.B) {
-			g, prof := benchCell(b, c.family, c.n)
-			cfg := baseline.WalkNotifyConfig{N: g.N(), TMix: prof.MixingTime}
-			var msgs, bits, rounds, charged float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunWalkNotifyTrial(g, cfg, uint64(i)+1, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += float64(trial.Metrics.Messages)
-				bits += float64(trial.Metrics.Bits)
-				rounds += float64(trial.Rounds)
-				charged += float64(trial.Metrics.ChargedRounds)
-			}
-			reportTrial(b, msgs, bits, rounds, charged)
+			nw, prof := benchCell(b, c.family, c.n)
+			benchElections(b, nw, anonlead.ProtoWalkNotify, anonlead.WithMixingTime(prof.MixingTime))
 		})
 	}
 }
@@ -138,21 +124,8 @@ func BenchmarkTable1Flood(b *testing.B) {
 	}
 	for _, c := range cells {
 		b.Run(fmt.Sprintf("%s/n=%d", c.family, c.n), func(b *testing.B) {
-			g, prof := benchCell(b, c.family, c.n)
-			cfg := baseline.FloodConfig{N: g.N(), Diam: prof.Diameter}
-			var msgs, bits, rounds, charged float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunFloodTrial(g, cfg, uint64(i)+1, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += float64(trial.Metrics.Messages)
-				bits += float64(trial.Metrics.Bits)
-				rounds += float64(trial.Rounds)
-				charged += float64(trial.Metrics.ChargedRounds)
-			}
-			reportTrial(b, msgs, bits, rounds, charged)
+			nw, prof := benchCell(b, c.family, c.n)
+			benchElections(b, nw, anonlead.ProtoFloodMax, anonlead.WithDiameter(prof.Diameter))
 		})
 	}
 }
@@ -164,21 +137,9 @@ func BenchmarkTable1Flood(b *testing.B) {
 func BenchmarkTable1Revocable(b *testing.B) {
 	for _, n := range []int{3, 4, 6} {
 		b.Run(fmt.Sprintf("complete/n=%d", n), func(b *testing.B) {
-			g, prof := benchCell(b, "complete", n)
-			cfg := core.RevocableConfig{Epsilon: 0.5, Isoperimetric: prof.Isoperim}
-			var msgs, bits, rounds, charged float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunRevocableTrial(g, cfg, uint64(i)+1, 0, harness.SimOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs += float64(trial.Metrics.Messages)
-				bits += float64(trial.Metrics.Bits)
-				rounds += float64(trial.Rounds)
-				charged += float64(trial.Metrics.ChargedRounds)
-			}
-			reportTrial(b, msgs, bits, rounds, charged)
+			nw, prof := benchCell(b, "complete", n)
+			benchElections(b, nw, anonlead.ProtoRevocable,
+				anonlead.WithEpsilon(0.5), anonlead.WithIsoperimetric(prof.Isoperimetric))
 		})
 	}
 }
@@ -241,18 +202,17 @@ func BenchmarkAblationCautious(b *testing.B) {
 func BenchmarkAblationWalks(b *testing.B) {
 	for _, factor := range []float64{0.5, 1, 2} {
 		b.Run(fmt.Sprintf("factor=%g", factor), func(b *testing.B) {
-			g, prof := benchCell(b, "expander", 128)
-			cfg := core.IREConfig{
-				N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance, XFactor: factor,
-			}
+			nw, prof := benchCell(b, "expander", 128)
 			success := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				trial, err := harness.RunIRETrial(g, cfg, uint64(i)+1, harness.SimOpts{})
+				out, err := nw.Run(context.Background(), anonlead.ProtoIRE, anonlead.WithSeed(uint64(i)+1),
+					anonlead.WithMixingTime(prof.MixingTime), anonlead.WithConductance(prof.Conductance),
+					anonlead.WithWalkFactor(factor))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if trial.Success {
+				if out.Unique {
 					success++
 				}
 			}
@@ -280,8 +240,8 @@ func sweepSpecs() []harness.CellSpec {
 // BenchmarkHarnessSweep measures the experiment orchestrator end to end:
 // the same sweep matrix run sequentially and fanned out over the sharded
 // worker pool (bit-identical results; the ratio is the orchestration
-// speedup). The parallel variant emits BENCH_harness.json, which CI
-// uploads for cross-PR perf trajectory tracking.
+// speedup). It writes no artifact: BENCH_harness.json is the 81-cell gate
+// sweep that `make bench-artifact` produces.
 func BenchmarkHarnessSweep(b *testing.B) {
 	specs := sweepSpecs()
 	b.Run("sequential", func(b *testing.B) {
@@ -293,20 +253,10 @@ func BenchmarkHarnessSweep(b *testing.B) {
 	})
 	b.Run(fmt.Sprintf("parallel/workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
 		o := harness.Orchestrator{}
-		var cells []harness.Cell
-		start := time.Now()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var err error
-			if cells, err = o.RunSweep(specs); err != nil {
+			if _, err := o.RunSweep(specs); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StopTimer()
-		elapsed := time.Since(start) / time.Duration(b.N)
-		artifact := harness.NewArtifact(o, specs, cells, elapsed)
-		if err := artifact.WriteFile(harness.ArtifactName); err != nil {
-			b.Fatal(err)
 		}
 	})
 }

@@ -40,6 +40,7 @@ import (
 	"anonlead/internal/graph"
 	"anonlead/internal/rng"
 	"anonlead/internal/sim"
+	"anonlead/internal/spectral"
 	"anonlead/internal/transport"
 )
 
@@ -170,20 +171,12 @@ func coordMain(proto, family string, n int, seed uint64, out string, timeout tim
 	// Resolve the protocol config once, coordinator-side, and ship it to
 	// every node: the processes must not profile independently.
 	pc := core.ProtoConfig{TrueN: n, N: n}
-	if entry.Needs != 0 {
-		prof, err := nw.Profile(anonlead.ProfileAuto)
-		if err != nil {
-			return err
-		}
-		if entry.Needs&core.NeedTMix != 0 {
-			pc.TMix = prof.MixingTime
-		}
-		if entry.Needs&core.NeedPhi != 0 {
-			pc.Phi = prof.Conductance
-		}
-		if entry.Needs&core.NeedDiam != 0 {
-			pc.Diam = prof.Diameter
-		}
+	if err := entry.Needs.Fill(&pc, func() (*spectral.Profile, error) {
+		// Seed 0 is the profile seed of a graph-wrapped Network, so these
+		// are the inputs nw.Run would fill itself.
+		return spectral.ProfileGraphMode(g, spectral.ModeAuto, 0)
+	}); err != nil {
+		return err
 	}
 	runner, err := entry.Build(pc)
 	if err != nil {

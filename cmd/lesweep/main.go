@@ -1,7 +1,7 @@
 // Command lesweep runs the artifact sweep matrix as a distributed job: it
 // plans the same cell matrix as `lebench -exp sweeps`, cuts it into
 // contiguous shards, runs one worker per shard, and merges the partial
-// artifacts into a single schema-v5 BENCH file.
+// artifacts into a single schema-v6 BENCH file.
 //
 // Per-trial seeds are pure functions of the root seed and the cell, so
 // the merged artifact is byte-identical to a single-process
@@ -41,42 +41,55 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "lesweep:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
+// run is the whole command: exit 2 for a flag the sweep cannot run with,
+// rejected before any worker starts; exit 1 for a sweep that failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lesweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workers    = flag.Int("workers", 2, "number of shards to cut the plan into")
-		parallel   = flag.Int("parallel", 0, "max workers running at once (0 = all; in-process workers share one pool anyway)")
-		retries    = flag.Int("retries", 1, "reruns of a crashed worker before the sweep fails")
-		local      = flag.Bool("local", true, "run workers in-process (goroutine shards)")
-		execCmd    = flag.String("exec", "", "run workers as subprocesses of this lebench command (e.g. 'go run ./cmd/lebench'); implies -local=false")
-		quick      = flag.Bool("quick", false, "shrunken CI matrix (must match the comparison lebench run)")
-		trials     = flag.Int("trials", 0, "override trials per cell (0 = matrix defaults)")
-		seed       = flag.Uint64("seed", 1, "root seed; per-trial seeds derive deterministically from it")
-		profile    = flag.String("profile", "auto", "spectral profile regime for sweep cells: exact, estimate, or auto")
-		jsonPath   = flag.String("json", "BENCH_dist.json", "where to write the merged artifact")
-		keep       = flag.Bool("keep-partials", false, "leave per-worker partial artifacts on disk (subprocess mode)")
-		quiet      = flag.Bool("q", false, "suppress progress logging")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/pprof/* and the /debug/progress live sweep view on this address (e.g. localhost:6060)")
-		traceOut   = flag.String("trace-out", "", "write the sweep's phase spans as Chrome trace-event JSON after the merge")
-		metricsOut = flag.String("metrics-out", "", "write the metrics-registry snapshot as JSON after the merge (render with lereport -phases)")
+		workers    = fs.Int("workers", 2, "number of shards to cut the plan into (at least 1)")
+		parallel   = fs.Int("parallel", 0, "max workers running at once (0 = all; in-process workers share one pool anyway)")
+		retries    = fs.Int("retries", 1, "reruns of a crashed worker before the sweep fails")
+		local      = fs.Bool("local", true, "run workers in-process (goroutine shards)")
+		execCmd    = fs.String("exec", "", "run workers as subprocesses of this lebench command (e.g. 'go run ./cmd/lebench'); implies -local=false")
+		quick      = fs.Bool("quick", false, "shrunken CI matrix (must match the comparison lebench run)")
+		trials     = fs.Int("trials", 0, "override trials per cell (0 = matrix defaults)")
+		seed       = fs.Uint64("seed", 1, "root seed; per-trial seeds derive deterministically from it")
+		profile    = fs.String("profile", "auto", "spectral profile regime for sweep cells: exact, estimate, or auto")
+		jsonPath   = fs.String("json", "BENCH_dist.json", "where to write the merged artifact")
+		keep       = fs.Bool("keep-partials", false, "leave per-worker partial artifacts on disk (subprocess mode)")
+		quiet      = fs.Bool("q", false, "suppress progress logging")
+		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /debug/pprof/* and the /debug/progress live sweep view on this address (e.g. localhost:6060)")
+		traceOut   = fs.String("trace-out", "", "write the sweep's phase spans as Chrome trace-event JSON after the merge")
+		metricsOut = fs.String("metrics-out", "", "write the metrics-registry snapshot as JSON after the merge (render with lereport -phases)")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "lesweep: "+format+"\n", a...)
+		return 2
+	}
+	if *workers < 1 {
+		return usage("-workers must be at least 1, got %d", *workers)
+	}
 	mode, err := spectral.ParseMode(*profile)
 	if err != nil {
-		return err
+		return usage("-profile: %v", err)
 	}
+	if *execCmd == "" && !*local {
+		return usage("-local=false requires -exec (no worker command to spawn)")
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "lesweep:", err)
+		return 1
+	}
+
 	if *traceOut != "" || *metricsOut != "" || *debugAddr != "" {
 		obs.Enable()
-	}
-	var logw io.Writer = os.Stderr
-	if *quiet {
-		logw = nil
 	}
 	cfg := sweep.Config{
 		Workers:      *workers,
@@ -87,41 +100,38 @@ func run() error {
 		Seed:         *seed,
 		Profile:      mode,
 		KeepPartials: *keep,
-		Log:          logw,
+		Exec:         strings.Fields(*execCmd),
 	}
-	if *execCmd != "" {
-		cfg.Exec = strings.Fields(*execCmd)
-	} else if !*local {
-		return fmt.Errorf("-local=false requires -exec (no worker command to spawn)")
+	if !*quiet {
+		cfg.Log = stderr
 	}
-
 	c := sweep.ForSweeps(cfg)
 	if *debugAddr != "" {
 		addr, err := obs.Serve(*debugAddr, func() any { return c.Progress() })
 		if err != nil {
-			return fmt.Errorf("debug endpoint: %w", err)
+			return fail(fmt.Errorf("debug endpoint: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "lesweep: debug endpoint on http://%s\n", addr)
+		fmt.Fprintf(stderr, "lesweep: debug endpoint on http://%s\n", addr)
 	}
 	art, err := c.Run(context.Background())
 	if err != nil {
-		return err
+		return fail(err)
 	}
 	if err := art.WriteFile(*jsonPath); err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("wrote %s (%d cells, merged from %d workers)\n", *jsonPath, len(art.Cells), *workers)
+	fmt.Fprintf(stdout, "wrote %s (%d cells, merged from %d workers)\n", *jsonPath, len(art.Cells), *workers)
 	if *traceOut != "" {
 		if err := obs.WriteChromeTraceFile(*traceOut); err != nil {
-			return fmt.Errorf("trace-out: %w", err)
+			return fail(fmt.Errorf("trace-out: %w", err))
 		}
-		fmt.Printf("wrote %s (%d spans)\n", *traceOut, len(obs.SpanEvents()))
+		fmt.Fprintf(stdout, "wrote %s (%d spans)\n", *traceOut, len(obs.SpanEvents()))
 	}
 	if *metricsOut != "" {
 		if err := obs.WriteSnapshotFile(*metricsOut); err != nil {
-			return fmt.Errorf("metrics-out: %w", err)
+			return fail(fmt.Errorf("metrics-out: %w", err))
 		}
-		fmt.Printf("wrote %s\n", *metricsOut)
+		fmt.Fprintf(stdout, "wrote %s\n", *metricsOut)
 	}
-	return nil
+	return 0
 }

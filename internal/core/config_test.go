@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"anonlead/internal/spectral"
 )
 
 func TestIREConfigValidation(t *testing.T) {
@@ -157,5 +160,47 @@ func TestChanOfAvoidsWalkChannel(t *testing.T) {
 	}
 	if chanOf(7) != 7 {
 		t.Fatalf("chanOf(7) = %d", chanOf(7))
+	}
+}
+
+// TestNeedsFill pins the one profiled-input fill rule: only inputs the
+// protocol declares and the caller left zero are filled, and the profile
+// is computed only when at least one of them is missing.
+func TestNeedsFill(t *testing.T) {
+	prof := &spectral.Profile{MixingTime: 7, Conductance: 0.25, Diameter: 3}
+	all := NeedTMix | NeedPhi | NeedDiam
+	cases := []struct {
+		name  string
+		needs Needs
+		in    ProtoConfig
+		want  ProtoConfig
+		calls int
+	}{
+		{"nothing declared", 0, ProtoConfig{N: 8}, ProtoConfig{N: 8}, 0},
+		{"all declared, all zero", all, ProtoConfig{}, ProtoConfig{TMix: 7, Phi: 0.25, Diam: 3}, 1},
+		{"all declared, all set", all, ProtoConfig{TMix: 1, Phi: 0.5, Diam: 9}, ProtoConfig{TMix: 1, Phi: 0.5, Diam: 9}, 0},
+		{"set inputs kept", NeedTMix | NeedPhi, ProtoConfig{TMix: 2}, ProtoConfig{TMix: 2, Phi: 0.25}, 1},
+		{"undeclared zeros left", NeedDiam, ProtoConfig{}, ProtoConfig{Diam: 3}, 1},
+		{"undeclared set inputs kept", NeedTMix, ProtoConfig{Diam: 5}, ProtoConfig{TMix: 7, Diam: 5}, 1},
+	}
+	for _, c := range cases {
+		calls := 0
+		pc := c.in
+		err := c.needs.Fill(&pc, func() (*spectral.Profile, error) {
+			calls++
+			return prof, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if pc != c.want || calls != c.calls {
+			t.Errorf("%s: got %+v after %d profile calls, want %+v after %d", c.name, pc, calls, c.want, c.calls)
+		}
+	}
+
+	boom := errors.New("profile failed")
+	pc := ProtoConfig{}
+	if err := NeedDiam.Fill(&pc, func() (*spectral.Profile, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("profile error not returned: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"anonlead/internal/sim"
+	"anonlead/internal/spectral"
 )
 
 // ProtoConfig is the protocol-agnostic bundle of resolved inputs one
@@ -73,6 +74,35 @@ const (
 	// NeedDiam marks the diameter input.
 	NeedDiam
 )
+
+// Fill sets each profiled input of pc that n declares and the caller left
+// zero from the graph's spectral profile. profile is called at most once,
+// and only when such an input is missing, so a run whose inputs are all
+// explicit never profiles. This is the one fill rule: Network.Run, the
+// experiment harness (from its cached cell profile) and the ledist
+// coordinator all hand a protocol its inputs through it.
+func (n Needs) Fill(pc *ProtoConfig, profile func() (*spectral.Profile, error)) error {
+	tmix := n&NeedTMix != 0 && pc.TMix == 0
+	phi := n&NeedPhi != 0 && pc.Phi == 0
+	diam := n&NeedDiam != 0 && pc.Diam == 0
+	if !tmix && !phi && !diam {
+		return nil
+	}
+	p, err := profile()
+	if err != nil {
+		return err
+	}
+	if tmix {
+		pc.TMix = p.MixingTime
+	}
+	if phi {
+		pc.Phi = p.Conductance
+	}
+	if diam {
+		pc.Diam = p.Diameter
+	}
+	return nil
+}
 
 // Outcome is the unified per-run result a registered protocol's collector
 // reads off a finished network. Leaders (and the explicit protocol's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"anonlead"
 	"anonlead/internal/core"
 	"anonlead/internal/diffusion"
 	"anonlead/internal/rng"
@@ -108,7 +109,7 @@ type WalkPoint struct {
 // AblationWalks sweeps the walk-count factor and measures election success
 // (experiment X2): the knee should sit near factor 1 (the paper's x).
 func AblationWalks(w Workload, factors []float64, trials int, seed uint64) ([]WalkPoint, *spectral.Profile, error) {
-	g, err := w.BuildGraph(seed)
+	g, anw, err := cachedGraph(w, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -121,9 +122,18 @@ func AblationWalks(w Workload, factors []float64, trials int, seed uint64) ([]Wa
 		cfg := core.IREConfig{
 			N: g.N(), TMix: prof.MixingTime, Phi: prof.Conductance, XFactor: f,
 		}
+		factory, err := core.NewIREFactory(cfg)
+		if err != nil {
+			return points, prof, err
+		}
 		pt := WalkPoint{Factor: f, Trials: trials}
+		pt.X, _, _, _, _ = factory(0, g.Degree(0), rng.New(seed)).(*core.IREMachine).Params()
 		for t := 0; t < trials; t++ {
-			trial, err := RunIRETrial(g, cfg, seed^uint64(math.Float64bits(f))^uint64(t)<<16, SimOpts{})
+			ropts := []anonlead.Option{
+				anonlead.WithSeed(seed ^ uint64(math.Float64bits(f)) ^ uint64(t)<<16),
+				anonlead.WithProtoConfig(ireProto(cfg)),
+			}
+			trial, err := runTrial(anw, string(ProtoIRE), ropts, false)
 			if err != nil {
 				return points, prof, err
 			}
@@ -133,9 +143,6 @@ func AblationWalks(w Workload, factors []float64, trials int, seed uint64) ([]Wa
 			pt.Messages += float64(trial.Metrics.Messages)
 		}
 		pt.Messages /= float64(trials)
-		factory, _ := core.NewIREFactory(cfg)
-		nw := sim.New(sim.Config{Graph: g, Seed: seed}, factory)
-		pt.X, _, _, _, _ = nw.Machine(0).(*core.IREMachine).Params()
 		points = append(points, pt)
 	}
 	return points, prof, nil

@@ -1,13 +1,14 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"anonlead"
 	"anonlead/internal/core"
 	"anonlead/internal/graph"
 	"anonlead/internal/pumping"
-	"anonlead/internal/sim"
 	"anonlead/internal/spectral"
 	"anonlead/internal/stats"
 )
@@ -158,11 +159,16 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.IREConfig{N: presumedN, TMix: prof.MixingTime, Phi: prof.Conductance}
+	pc := core.ProtoConfig{N: presumedN, TMix: prof.MixingTime, Phi: prof.Conductance}
 	// Recover T(n): the protocol's fixed running time for the presumed n.
-	probe, err := RunIRETrial(small, cfg, seed, SimOpts{})
+	smallNW, err := anonlead.NewNetworkFromGraph(small)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	probe, err := smallNW.Run(context.Background(), anonlead.ProtoIRE,
+		anonlead.WithSeed(seed), anonlead.WithProtoConfig(pc))
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
 	tOfN := probe.Rounds
 
@@ -173,15 +179,19 @@ func SplitBrainExperiment(presumedN int, witnessCounts []int, trials int, seed u
 			return points, err
 		}
 		pt := SplitBrainPoint{Layout: layout, Trials: trials}
-		wheel := layout.Wheel()
+		wheel, err := anonlead.NewNetworkFromGraph(layout.Wheel())
+		if err != nil {
+			return points, fmt.Errorf("harness: %w", err)
+		}
 		sumLeaders := 0
 		for tr := 0; tr < trials; tr++ {
 			trialSeed := seed ^ uint64(wc)<<40 ^ uint64(tr)<<8 ^ 0x5bd1
-			leaders, _, err := IRELeaderNodes(wheel, cfg, trialSeed, SimOpts{Scheduler: sim.WorkerPool})
+			out, err := wheel.Run(context.Background(), anonlead.ProtoIRE, anonlead.WithSeed(trialSeed),
+				anonlead.WithScheduler(anonlead.WorkerPool), anonlead.WithProtoConfig(pc))
 			if err != nil {
-				return points, err
+				return points, fmt.Errorf("harness: %w", err)
 			}
-			res := pumping.Analyze(layout, leaders)
+			res := pumping.Analyze(layout, out.Leaders)
 			sumLeaders += res.NLeaders()
 			if res.MultiLeader() {
 				pt.MultiLeader++

@@ -4,9 +4,12 @@
 // metrics and success rates, and renders the Table 1 rows and figure
 // series that EXPERIMENTS.md records.
 //
-// Every trial goes through anonlead.Run, so the sweeps exercise exactly
-// the code path external users call; the bench artifacts pin that the
-// migration kept trial semantics byte-identical.
+// Every trial goes one way: the cell's protocol name is looked up in the
+// core registry, the trial options become a core.ProtoConfig whose
+// profiled inputs the registry's Needs.Fill takes from the cell's cached
+// profile, and the config runs through Network.Run. The sweeps thus
+// exercise exactly the code path external users call, and a trial with
+// default options equals a default-option public Run of the same name.
 package harness
 
 import (
@@ -16,7 +19,6 @@ import (
 
 	"anonlead"
 	"anonlead/internal/adversary"
-	"anonlead/internal/baseline"
 	"anonlead/internal/core"
 	"anonlead/internal/epoch"
 	"anonlead/internal/graph"
@@ -66,8 +68,8 @@ type Trial struct {
 	Leaders int
 	Success bool // exactly one (surviving) leader
 	Rounds  int
-	Crashed int // nodes crash-stopped by the adversary
-	Metrics sim.Metrics
+	// Metrics is the run's full cost accounting, Crashed included.
+	Metrics anonlead.Metrics
 	// RoundProf is the trial's deterministic round-resolved histogram,
 	// present only when TrialOpts.RoundProfile asked for one.
 	RoundProf *obs.RoundProfile
@@ -76,41 +78,6 @@ type Trial struct {
 	// fields above then hold the scenario totals (Rounds/Metrics summed over
 	// epochs; Success = every epoch elected).
 	EpochHist *anonlead.EpochOutcome
-}
-
-// SimOpts carries the execution knobs every trial runner threads into the
-// public Run path: scheduler selection and the optional fault adversary.
-type SimOpts struct {
-	// Scheduler selects the execution engine.
-	Scheduler sim.Scheduler
-	// Adversary, when non-nil and non-zero, fault-injects the trial. The
-	// runtime adversary is built inside anonlead.Run with the canonical
-	// seed derivation (adversary.DeriveRunSeed), so harness and public
-	// fault-injected runs are byte-identical.
-	Adversary *adversary.Spec
-	// Observer, when non-nil, streams per-round metrics out of the trial
-	// (the round-profile feed; any per-trial telemetry rides the same hook).
-	Observer func(anonlead.RoundInfo)
-}
-
-// faulted reports whether the options carry an active fault policy.
-func (o SimOpts) faulted() bool {
-	return o.Adversary != nil && !o.Adversary.IsZero()
-}
-
-// options maps the execution knobs onto public Run options.
-func (o SimOpts) options(seed uint64) []anonlead.Option {
-	opts := []anonlead.Option{anonlead.WithSeed(seed)}
-	if o.Scheduler == sim.WorkerPool {
-		opts = append(opts, anonlead.WithScheduler(anonlead.WorkerPool))
-	}
-	if o.Adversary != nil {
-		opts = append(opts, anonlead.WithAdversary(publicAdversary(*o.Adversary)))
-	}
-	if o.Observer != nil {
-		opts = append(opts, anonlead.WithObserver(o.Observer))
-	}
-	return opts
 }
 
 // publicAdversary mirrors an internal adversary spec into the public one,
@@ -130,23 +97,6 @@ func publicAdversary(s adversary.Spec) anonlead.AdversarySpec {
 		AdaptiveCrash:   s.AdaptiveCrash,
 		AdaptiveWindow:  s.AdaptiveWindow,
 		AdaptiveStrikes: s.AdaptiveStrikes,
-	}
-}
-
-// simMetrics maps the public metrics mirror back onto the simulator type
-// the harness aggregates (lossless: the mirrors are field-for-field).
-func simMetrics(m anonlead.Metrics) sim.Metrics {
-	return sim.Metrics{
-		Rounds:        m.Rounds,
-		ChargedRounds: m.ChargedRounds,
-		Messages:      m.Messages,
-		Bits:          m.Bits,
-		CongestBits:   m.CongestBits,
-		MaxLinkSlots:  m.MaxLinkSlots,
-		MaxChannels:   m.MaxChannels,
-		Dropped:       m.Dropped,
-		Delayed:       m.Delayed,
-		Crashes:       m.Crashed,
 	}
 }
 
@@ -319,7 +269,7 @@ func reduceCell(p Protocol, w Workload, prof *spectral.Profile, eo *epoch.Opts, 
 			cell.ZeroLeaders++
 		}
 		cell.Dropped += float64(trial.Metrics.Dropped)
-		cell.CrashedNodes += float64(trial.Crashed)
+		cell.CrashedNodes += float64(trial.Metrics.Crashed)
 		if trial.RoundProf != nil {
 			if cell.RoundProf == nil {
 				cell.RoundProf = &obs.RoundProfile{}
@@ -386,59 +336,63 @@ func cellTrials(opts TrialOpts) int {
 	return opts.Trials
 }
 
-// runOne executes a single trial of protocol p on the prepared network,
-// resolving the cell's trial options into the shared protocol config the
-// public Run path consumes. Defaults are filled from the cell's profile
-// here (not inside Run) so the per-cell profile is computed exactly once.
+// runOne executes a single trial of protocol p on the prepared network.
+// It resolves the cell's trial options into the shared protocol config,
+// fills the profiled inputs from the cell's cached profile through the
+// registry's one fill rule, and runs the config through Network.Run. The
+// fill must happen here, never inside Run: the cell network is wrapped
+// with profile seed 0, so Run's own profile could differ from the cell's
+// in the estimate regime, and the cell profile is computed exactly once.
 func runOne(p Protocol, anw *anonlead.Network, prof *spectral.Profile, opts TrialOpts, seed uint64) (Trial, error) {
-	// The size the protocol is told; PresumedN misreports it for the
-	// knowledge ablation (topology parameters stay truthful).
-	presumedN := anw.N()
-	if opts.PresumedN > 0 {
-		presumedN = opts.PresumedN
-	}
-	simo := SimOpts{Scheduler: opts.Scheduler, Adversary: opts.Adversary}
-	if opts.Parallel {
-		simo.Scheduler = sim.WorkerPool
-	}
-	var rp *obs.RoundProfile
-	if opts.RoundProfile {
-		rp = &obs.RoundProfile{}
-		simo.Observer = roundProfileObserver(rp)
+	entry, ok := core.Lookup(string(p))
+	if !ok {
+		return Trial{}, fmt.Errorf("harness: unknown protocol %q", p)
 	}
 	var pc core.ProtoConfig
 	switch p {
 	case ProtoIRE, ProtoExplicit:
-		cfg := opts.IRE
-		cfg.N = presumedN
-		if cfg.TMix == 0 {
-			cfg.TMix = prof.MixingTime
-		}
-		if cfg.Phi == 0 {
-			cfg.Phi = prof.Conductance
-		}
-		pc = ireProto(cfg)
-	case ProtoFlood, ProtoAllFlood:
-		pc = core.ProtoConfig{N: presumedN, Diam: prof.Diameter, AllNodes: p == ProtoAllFlood}
-	case ProtoWalkNotify:
-		pc = core.ProtoConfig{N: presumedN, TMix: prof.MixingTime}
+		pc = ireProto(opts.IRE)
 	case ProtoRevocable:
 		cfg := opts.Revocable
 		if opts.RevocableUseProfileIso && cfg.Isoperimetric == 0 {
 			cfg.Isoperimetric = prof.Isoperim
 		}
 		pc = revocableProto(cfg, opts.RevocableMaxRounds)
-	default:
-		return Trial{}, fmt.Errorf("harness: unknown protocol %q", p)
 	}
+	// The size the protocol is told; PresumedN misreports it for the
+	// knowledge ablation (topology parameters stay truthful).
+	pc.N = anw.N()
+	if opts.PresumedN > 0 {
+		pc.N = opts.PresumedN
+	}
+	if err := entry.Needs.Fill(&pc, func() (*spectral.Profile, error) { return prof, nil }); err != nil {
+		return Trial{}, err
+	}
+
+	ropts := []anonlead.Option{anonlead.WithSeed(seed), anonlead.WithProtoConfig(pc)}
+	if opts.Parallel || opts.Scheduler == sim.WorkerPool {
+		ropts = append(ropts, anonlead.WithScheduler(anonlead.WorkerPool))
+	}
+	if opts.Adversary != nil {
+		// The runtime adversary is built inside Run with the canonical
+		// seed derivation, so harness and public fault-injected runs are
+		// byte-identical.
+		ropts = append(ropts, anonlead.WithAdversary(publicAdversary(*opts.Adversary)))
+	}
+	var rp *obs.RoundProfile
+	if opts.RoundProfile {
+		rp = &obs.RoundProfile{}
+		ropts = append(ropts, anonlead.WithObserver(roundProfileObserver(rp)))
+	}
+
+	var trial Trial
+	var err error
 	if opts.Epochs != nil {
-		trial, err := runEpochTrial(anw, string(p), pc, seed, simo, *opts.Epochs)
-		if err == nil {
-			trial.RoundProf = rp
-		}
-		return trial, err
+		trial, err = runEpochTrial(anw, string(p), ropts, *opts.Epochs)
+	} else {
+		faulted := opts.Adversary != nil && !opts.Adversary.IsZero()
+		trial, err = runTrial(anw, string(p), ropts, faulted)
 	}
-	trial, err := runTrial(anw, string(p), pc, seed, simo)
 	if err == nil {
 		// Both real completions and measured fault non-convergence carry
 		// the profile: every executed round was observed either way.
@@ -451,16 +405,15 @@ func runOne(p Protocol, anw *anonlead.Network, prof *spectral.Profile, opts Tria
 // RunEpochs path and folds the history into a harness Trial: the flat
 // fields carry the scenario totals (so classic cell aggregation still
 // means something), and the full history rides along for epoch.Reduce.
-func runEpochTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uint64, o SimOpts, eo epoch.Opts) (Trial, error) {
-	base := append(o.options(seed), anonlead.WithProtoConfig(pc))
-	hist, err := epoch.Run(anw, proto, base, eo)
+func runEpochTrial(anw *anonlead.Network, proto string, ropts []anonlead.Option, eo epoch.Opts) (Trial, error) {
+	hist, err := epoch.Run(anw, proto, ropts, eo)
 	if err != nil {
 		return Trial{}, fmt.Errorf("harness: %w", err)
 	}
 	trial := Trial{
 		Success: hist.Elected == len(hist.Epochs),
 		Rounds:  hist.TotalRounds,
-		Metrics: sim.Metrics{
+		Metrics: anonlead.Metrics{
 			Rounds:        hist.TotalRounds,
 			ChargedRounds: hist.TotalCharged,
 			Messages:      hist.TotalMessages,
@@ -470,7 +423,7 @@ func runEpochTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, see
 	}
 	if n := len(hist.Epochs); n > 0 {
 		last := hist.Epochs[n-1]
-		trial.Crashed = last.Crashed
+		trial.Metrics.Crashed = last.Crashed
 		if last.Elected {
 			trial.Leaders = 1
 		}
@@ -503,108 +456,21 @@ func revocableProto(cfg core.RevocableConfig, maxRounds int) core.ProtoConfig {
 }
 
 // runTrial executes one election through the public Run path and folds
-// the unified outcome into a harness Trial.
-func runTrial(anw *anonlead.Network, proto string, pc core.ProtoConfig, seed uint64, o SimOpts) (Trial, error) {
-	ropts := append(o.options(seed), anonlead.WithProtoConfig(pc))
+// the unified outcome into a harness Trial. faulted reports an active
+// adversary in ropts.
+func runTrial(anw *anonlead.Network, proto string, ropts []anonlead.Option, faulted bool) (Trial, error) {
 	out, err := anw.Run(context.Background(), proto, ropts...)
-	if err != nil {
-		if errors.Is(err, anonlead.ErrNotStabilized) && o.faulted() {
-			// Under fault injection a non-converging election is a
-			// measured outcome — it degrades the success rate like any
-			// other fault damage — not a harness error that should abort
-			// the sweep. The partial Outcome still carries the run's cost
-			// accounting.
-			return Trial{Leaders: 0, Success: false, Rounds: out.Rounds,
-				Crashed: out.Metrics.Crashed, Metrics: simMetrics(out.Metrics)}, nil
-		}
+	// Under fault injection a non-converging election is a measured
+	// outcome — it degrades the success rate like any other fault damage
+	// — not a harness error that should abort the sweep. The partial
+	// Outcome carries no leaders and still holds the run's cost accounting.
+	if err != nil && !(faulted && errors.Is(err, anonlead.ErrNotStabilized)) {
 		return Trial{}, fmt.Errorf("harness: %w", err)
 	}
 	return Trial{
 		Leaders: len(out.Leaders),
 		Success: out.Unique && out.AllKnow,
 		Rounds:  out.Rounds,
-		Crashed: out.Metrics.Crashed,
-		Metrics: simMetrics(out.Metrics),
+		Metrics: out.Metrics,
 	}, nil
-}
-
-// wrapGraph adapts a pre-built graph for the standalone trial runners.
-func wrapGraph(g *graph.Graph) (*anonlead.Network, error) {
-	anw, err := anonlead.NewNetworkFromGraph(g)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	return anw, nil
-}
-
-// RunIRETrial executes one Irrevocable LE election.
-func RunIRETrial(g *graph.Graph, cfg core.IREConfig, seed uint64, o SimOpts) (Trial, error) {
-	anw, err := wrapGraph(g)
-	if err != nil {
-		return Trial{}, err
-	}
-	return runTrial(anw, "ire", ireProto(cfg), seed, o)
-}
-
-// IRELeaderNodes runs one IRE election and returns the elected node
-// indices (used by the pumping-wheel experiment).
-func IRELeaderNodes(g *graph.Graph, cfg core.IREConfig, seed uint64, o SimOpts) ([]int, sim.Metrics, error) {
-	anw, err := wrapGraph(g)
-	if err != nil {
-		return nil, sim.Metrics{}, err
-	}
-	ropts := append(o.options(seed), anonlead.WithProtoConfig(ireProto(cfg)))
-	out, err := anw.Run(context.Background(), "ire", ropts...)
-	if err != nil {
-		return nil, sim.Metrics{}, fmt.Errorf("harness: %w", err)
-	}
-	return out.Leaders, simMetrics(out.Metrics), nil
-}
-
-// RunExplicitTrial executes one explicit election (implicit protocol plus
-// announcement flood). Success additionally requires every surviving node
-// to have learned the leader.
-func RunExplicitTrial(g *graph.Graph, cfg core.ExplicitConfig, seed uint64, o SimOpts) (Trial, error) {
-	anw, err := wrapGraph(g)
-	if err != nil {
-		return Trial{}, err
-	}
-	pc := ireProto(cfg.IRE)
-	pc.AnnounceRounds = cfg.AnnounceRounds
-	return runTrial(anw, "explicit", pc, seed, o)
-}
-
-// RunFloodTrial executes one FloodMax election.
-func RunFloodTrial(g *graph.Graph, cfg baseline.FloodConfig, seed uint64, o SimOpts) (Trial, error) {
-	anw, err := wrapGraph(g)
-	if err != nil {
-		return Trial{}, err
-	}
-	pc := core.ProtoConfig{N: cfg.N, Diam: cfg.Diam, C: cfg.C, AllNodes: cfg.AllNodes}
-	proto := "floodmax"
-	if cfg.AllNodes {
-		proto = "allflood"
-	}
-	return runTrial(anw, proto, pc, seed, o)
-}
-
-// RunWalkNotifyTrial executes one Gilbert-class baseline election.
-func RunWalkNotifyTrial(g *graph.Graph, cfg baseline.WalkNotifyConfig, seed uint64, o SimOpts) (Trial, error) {
-	anw, err := wrapGraph(g)
-	if err != nil {
-		return Trial{}, err
-	}
-	pc := core.ProtoConfig{N: cfg.N, TMix: cfg.TMix, C: cfg.C, Beta: cfg.Beta}
-	return runTrial(anw, "walknotify", pc, seed, o)
-}
-
-// RunRevocableTrial executes one revocable election until the theory's
-// stability point (all nodes chose, certificates agree, k^{1+ε} > 4n) or
-// maxRounds.
-func RunRevocableTrial(g *graph.Graph, cfg core.RevocableConfig, seed uint64, maxRounds int, o SimOpts) (Trial, error) {
-	anw, err := wrapGraph(g)
-	if err != nil {
-		return Trial{}, err
-	}
-	return runTrial(anw, "revocable", revocableProto(cfg, maxRounds), seed, o)
 }

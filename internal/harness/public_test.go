@@ -1,17 +1,18 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"anonlead"
 	"anonlead/internal/adversary"
-	"anonlead/internal/sim"
+	"anonlead/internal/spectral"
 )
 
-// TestMirrorRoundTrips guards the hand-written field-copy bridges the
-// harness uses against the public API: a field present in both mirror
-// structs but dropped by a copy function would pass a pure struct-parity
+// TestMirrorRoundTrips guards the hand-written field-copy bridge the
+// harness uses into the public API: a field present in both mirror
+// structs but dropped by the copy function would pass a pure struct-parity
 // test while silently zeroing that field in every sweep.
 func TestMirrorRoundTrips(t *testing.T) {
 	// Adversary spec: internal -> public -> internal must be lossless.
@@ -37,22 +38,6 @@ func TestMirrorRoundTrips(t *testing.T) {
 		t.Fatalf("descriptor lost in conversion: %q vs %q", got, want)
 	}
 
-	// Metrics: the public mirror is field-for-field in simulator order;
-	// distinct sentinels per field must land back on the simulator type
-	// unchanged through the harness's inverse conversion.
-	var pm anonlead.Metrics
-	pv := reflect.ValueOf(&pm).Elem()
-	for i := 0; i < pv.NumField(); i++ {
-		pv.Field(i).SetInt(int64(i + 1))
-	}
-	var want sim.Metrics
-	wv := reflect.ValueOf(&want).Elem()
-	for i := 0; i < wv.NumField(); i++ {
-		wv.Field(i).SetInt(int64(i + 1))
-	}
-	if got := simMetrics(pm); got != want {
-		t.Fatalf("metrics conversion lost counters:\nin  %+v\nout %+v", pm, got)
-	}
 }
 
 // TestPublicNetworkMatchesWorkloadGraph pins the graph-derivation
@@ -95,6 +80,44 @@ func TestPublicNetworkMatchesWorkloadGraph(t *testing.T) {
 			len(a.Leaders) != len(b.Leaders) {
 			t.Fatalf("%s: public network diverged from workload graph:\n%+v\n%+v",
 				w.Family, a.Result, b.Result)
+		}
+	}
+}
+
+// TestTrialMatchesPublicRun pins that the harness hands every protocol
+// exactly the inputs the public API would: one trial of each harness
+// protocol on a small exact-regime cell equals a default-option
+// Network.Run of the same registry name at the trial's seed.
+func TestTrialMatchesPublicRun(t *testing.T) {
+	const seed = 5
+	w := Workload{Family: "complete", N: 4}
+	opts := TrialOpts{Seed: seed, ProfileMode: spectral.ModeExact}
+	anw, prof, err := prepareCell(w, seed, opts.ProfileMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := anonlead.NewNetwork(w.Family, w.N, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trialSeed := TrialSeed(seed, w, 0)
+	for _, p := range Protocols() {
+		got, err := runOne(p, anw, prof, opts, trialSeed)
+		if err != nil {
+			t.Fatalf("%s: harness trial: %v", p, err)
+		}
+		out, err := nw.Run(context.Background(), string(p), anonlead.WithSeed(trialSeed))
+		if err != nil {
+			t.Fatalf("%s: public run: %v", p, err)
+		}
+		want := Trial{
+			Leaders: len(out.Leaders),
+			Success: out.Unique && out.AllKnow,
+			Rounds:  out.Rounds,
+			Metrics: out.Metrics,
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: harness trial diverged from the public run:\nharness %+v\npublic  %+v", p, got, want)
 		}
 	}
 }

@@ -191,7 +191,8 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		pc.MaxDelay = adv.MaxDelay()
 		pc.Faulted = true
 	}
-	if err := nw.fillProfiled(&pc, entry.Needs, o.profile.internal()); err != nil {
+	mode := o.profile.internal()
+	if err := entry.Needs.Fill(&pc, func() (*spectral.Profile, error) { return nw.profileMode(mode) }); err != nil {
 		return Outcome{}, err
 	}
 
@@ -262,7 +263,7 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 	}
 
 	out := Outcome{Protocol: entry.Name, Result: Result{Rounds: rounds}}
-	if sp := nw.cachedProfile(o.profile.internal()); sp != nil {
+	if sp := nw.cachedProfile(mode); sp != nil {
 		pub := publicProfile(sp)
 		out.Profile = &pub
 	}
@@ -294,32 +295,4 @@ func (nw *Network) Run(ctx context.Context, protocol string, opts ...Option) (Ou
 		out.FinalEstimate = co.FinalEstimate
 	}
 	return out, nil
-}
-
-// fillProfiled fills the profiled graph quantities the protocol declared
-// it needs and the caller did not supply, computing the spectral profile
-// lazily on first use under the run's profile mode.
-func (nw *Network) fillProfiled(pc *core.ProtoConfig, needs core.Needs, mode spectral.Mode) error {
-	if needs&core.NeedTMix != 0 && pc.TMix == 0 {
-		prof, err := nw.profileMode(mode)
-		if err != nil {
-			return err
-		}
-		pc.TMix = prof.MixingTime
-	}
-	if needs&core.NeedPhi != 0 && pc.Phi == 0 {
-		prof, err := nw.profileMode(mode)
-		if err != nil {
-			return err
-		}
-		pc.Phi = prof.Conductance
-	}
-	if needs&core.NeedDiam != 0 && pc.Diam == 0 {
-		prof, err := nw.profileMode(mode)
-		if err != nil {
-			return err
-		}
-		pc.Diam = prof.Diameter
-	}
-	return nil
 }
